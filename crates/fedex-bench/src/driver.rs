@@ -1,7 +1,7 @@
 //! The shared client-simulation core: one place that knows how to fire a
 //! request at a live `fedex-serve` instance and classify what came back.
 //!
-//! Both load harnesses — `serve_bench --chaos` (seeded fault injection)
+//! Both load harnesses — the `chaos` bin (seeded fault injection)
 //! and the workload-trace replayer ([`mod@crate::workload::replay`]) — drive
 //! servers with fleets of simulated clients and need the same bookkeeping:
 //! every attempt lands in exactly one outcome bucket, typed error codes

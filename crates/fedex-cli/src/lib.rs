@@ -61,8 +61,6 @@ pub enum Command {
         workers: usize,
         /// Artifact-cache byte budget in MiB.
         cache_mb: usize,
-        /// Artifact-cache eviction policy (`cost` or `lru`).
-        cache_policy: fedex_core::EvictionPolicy,
         /// Bound of the explain/register queue (`overloaded` beyond it).
         queue_depth: usize,
         /// Max heavy requests per session queued + running
@@ -108,8 +106,8 @@ usage:
   fedex schema  --table <name=path.csv> [--table ...]
   fedex demo
   fedex serve   [--addr 127.0.0.1:4641] [--workers N] [--cache-mb N]
-                [--cache-policy cost|lru] [--queue-depth N]
-                [--session-quota N] [--default-deadline-ms N]
+                [--queue-depth N] [--session-quota N]
+                [--default-deadline-ms N]
                 [--degrade off|auto|force] [--write-timeout-ms N]
                 [--exec serial|parallel|N] [--slow-ms N] [--no-obs]
   fedex client  --addr <host:port> --json '<request>'
@@ -169,7 +167,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut addr = "127.0.0.1:4641".to_string();
             let mut workers = 4usize;
             let mut cache_mb = 1024usize;
-            let mut cache_policy = fedex_core::EvictionPolicy::default();
             let mut queue_depth = 64usize;
             let mut session_quota = 2usize;
             let server_defaults = fedex_serve::ServerConfig::default();
@@ -197,16 +194,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         cache_mb = flag_value(args, i, "--cache-mb")?
                             .parse()
                             .map_err(|e| CliError(format!("--cache-mb: {e}")))?;
-                    }
-                    "--cache-policy" => {
-                        i += 1;
-                        let spec = flag_value(args, i, "--cache-policy")?;
-                        cache_policy =
-                            fedex_core::EvictionPolicy::parse(&spec).ok_or_else(|| {
-                                CliError(format!(
-                                    "--cache-policy expects cost or lru, got {spec:?}"
-                                ))
-                            })?;
                     }
                     "--queue-depth" => {
                         i += 1;
@@ -262,7 +249,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 addr,
                 workers,
                 cache_mb,
-                cache_policy,
                 queue_depth,
                 session_quota,
                 default_deadline_ms,
@@ -507,7 +493,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             addr,
             workers,
             cache_mb,
-            cache_policy,
             queue_depth,
             session_quota,
             default_deadline_ms,
@@ -518,9 +503,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             no_obs,
         } => {
             use std::sync::Arc;
-            let cache = Arc::new(fedex_core::ArtifactCache::with_policy(
+            let cache = Arc::new(fedex_core::ArtifactCache::with_budget(
                 cache_mb.max(1) * 1024 * 1024,
-                cache_policy,
             ));
             let fedex = Fedex::new().with_execution(exec);
             let manager = fedex_core::SessionManager::new(fedex, cache);
@@ -557,7 +541,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             // (and the CI smoke job) can wait for this line.
             eprintln!(
                 "fedex-serve listening on {local} ({workers} workers, cache budget \
-                 {cache_mb} MiB, policy {cache_policy}, queue depth {queue_depth}, \
+                 {cache_mb} MiB, queue depth {queue_depth}, \
                  session quota {session_quota}, degrade {degrade:?}, \
                  default deadline {default_deadline_ms} ms)"
             );
@@ -698,8 +682,6 @@ mod tests {
             "8",
             "--cache-mb",
             "64",
-            "--cache-policy",
-            "lru",
             "--queue-depth",
             "5",
             "--session-quota",
@@ -723,7 +705,6 @@ mod tests {
                 addr: "127.0.0.1:9999".to_string(),
                 workers: 8,
                 cache_mb: 64,
-                cache_policy: fedex_core::EvictionPolicy::Lru,
                 queue_depth: 5,
                 session_quota: 1,
                 default_deadline_ms: 2500,
@@ -741,7 +722,6 @@ mod tests {
                 addr: "127.0.0.1:4641".to_string(),
                 workers: 4,
                 cache_mb: 1024,
-                cache_policy: fedex_core::EvictionPolicy::CostAware,
                 queue_depth: 64,
                 session_quota: 2,
                 default_deadline_ms: 300_000,
@@ -753,7 +733,6 @@ mod tests {
             }
         );
         assert!(parse_args(&s(&["serve", "--slow-ms", "wat"])).is_err());
-        assert!(parse_args(&s(&["serve", "--cache-policy", "wat"])).is_err());
         assert!(parse_args(&s(&["serve", "--degrade", "sometimes"])).is_err());
         let cmd = parse_args(&s(&[
             "client",

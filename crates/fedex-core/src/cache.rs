@@ -19,13 +19,12 @@
 //! can never change an explanation — only skip recomputing it; the
 //! `warm_equals_cold` property test and the golden fixtures pin this.
 //!
-//! Eviction is byte-budgeted with a pluggable [`EvictionPolicy`]. Every
-//! entry records an insertion-time size estimate (`approx_bytes`), a
-//! last-touched tick, **and the measured wall-clock cost of rebuilding
-//! it** — the caller just derived the artifact, so the rebuild cost is
-//! known exactly, not modelled. Under the default
-//! [`EvictionPolicy::CostAware`] policy the victim is the entry with the
-//! lowest *retained value per byte*,
+//! Eviction is byte-budgeted and cost-aware. Every entry records an
+//! insertion-time size estimate (`approx_bytes`), a last-touched tick,
+//! **and the measured wall-clock cost of rebuilding it** — the caller just
+//! derived the artifact, so the rebuild cost is known exactly, not
+//! modelled. The victim is the entry with the lowest *retained value per
+//! byte*,
 //!
 //! ```text
 //! value(e) = rebuild_micros(e) × recency(e) / bytes(e)
@@ -34,12 +33,11 @@
 //!
 //! so a cheap-to-rebuild small-frame entry is evicted before a 1M-row
 //! kernel cache that took seconds to derive, even when the kernel cache
-//! was touched less recently. [`EvictionPolicy::Lru`] restores the
-//! byte-only least-recently-used order of PR 4 (exposed on the CLI as
-//! `--cache-policy lru`). An entry larger than the whole budget is simply
-//! not admitted (the caller keeps its freshly-built artifact —
-//! correctness never depends on residency). [`CacheMetrics`] counters
-//! feed the server's `metrics` command and `GET /metrics`.
+//! was touched less recently; among equally costly entries of one size
+//! the order is least-recently-used. An entry larger than the whole
+//! budget is simply not admitted (the caller keeps its freshly-built
+//! artifact — correctness never depends on residency). [`CacheMetrics`]
+//! counters feed the server's `metrics` command and `GET /metrics`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,45 +55,6 @@ use crate::kernel::ExcKernelCache;
 /// exposes `--cache-mb`).
 pub const DEFAULT_CACHE_BUDGET: usize = 1024 * 1024 * 1024;
 
-/// How the cache picks eviction victims once the byte budget is exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the entry with the lowest `rebuild_cost × recency / bytes` —
-    /// keep artifacts that are expensive to rebuild and cheap to hold.
-    /// The default: every insertion knows its measured rebuild time, so
-    /// the cache can weigh a 3s kernel build against a 2ms toy frame
-    /// instead of treating both as one LRU slot.
-    #[default]
-    CostAware,
-    /// Byte-only least-recently-used order (the PR 4 behaviour).
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Parse a CLI spelling: `"cost"` / `"cost-aware"` or `"lru"`.
-    pub fn parse(spec: &str) -> Option<EvictionPolicy> {
-        match spec {
-            "cost" | "cost-aware" => Some(EvictionPolicy::CostAware),
-            "lru" => Some(EvictionPolicy::Lru),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling (`"cost"` / `"lru"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EvictionPolicy::CostAware => "cost",
-            EvictionPolicy::Lru => "lru",
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// What one cache entry holds.
 #[derive(Clone)]
 enum Artifact {
@@ -103,7 +62,7 @@ enum Artifact {
     Kernels(Arc<ExcKernelCache>),
 }
 
-/// The two key namespaces share one LRU so the budget is global.
+/// The two key namespaces share one map so the budget is global.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Frame(Fingerprint),
@@ -115,14 +74,13 @@ struct Entry {
     bytes: usize,
     last_used: u64,
     /// Measured wall-clock cost of deriving this artifact, in
-    /// microseconds — recorded at insertion, consumed by
-    /// [`EvictionPolicy::CostAware`].
+    /// microseconds — recorded at insertion, consumed by eviction.
     rebuild_micros: u64,
 }
 
 impl Entry {
-    /// Retained value per byte under the cost-aware policy (see the
-    /// module docs): measured rebuild cost × recency, normalized by size.
+    /// Retained value per byte (see the module docs): measured rebuild
+    /// cost × recency, normalized by size.
     fn value_per_byte(&self, clock: u64) -> f64 {
         let age = clock.saturating_sub(self.last_used) as f64;
         let recency = 1.0 / (1.0 + age);
@@ -164,17 +122,14 @@ pub struct CacheMetrics {
     pub bytes: usize,
     /// The configured byte budget.
     pub budget: usize,
-    /// The active eviction policy.
-    pub policy: EvictionPolicy,
 }
 
 /// Thread-safe, byte-budgeted cache of re-derivable explain artifacts
-/// with cost-aware (or plain LRU) eviction.
+/// with cost-aware eviction.
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
     counters: Counters,
     budget: usize,
-    policy: EvictionPolicy,
 }
 
 impl std::fmt::Debug for ArtifactCache {
@@ -184,7 +139,6 @@ impl std::fmt::Debug for ArtifactCache {
             .field("entries", &m.entries)
             .field("bytes", &m.bytes)
             .field("budget", &m.budget)
-            .field("policy", &m.policy)
             .finish()
     }
 }
@@ -196,26 +150,14 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// A cache with the default [`EvictionPolicy::CostAware`] policy that
-    /// evicts once the estimated resident size exceeds `budget` bytes.
+    /// A cache that evicts once the estimated resident size exceeds
+    /// `budget` bytes.
     pub fn with_budget(budget: usize) -> Self {
-        Self::with_policy(budget, EvictionPolicy::default())
-    }
-
-    /// A cache with an explicit eviction policy (the CLI's
-    /// `--cache-policy`).
-    pub fn with_policy(budget: usize, policy: EvictionPolicy) -> Self {
         ArtifactCache {
             inner: Mutex::new(Inner::default()),
             counters: Counters::default(),
             budget,
-            policy,
         }
-    }
-
-    /// The active eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// The cached coded frame for a dataframe with this content
@@ -275,7 +217,6 @@ impl ArtifactCache {
             entries: inner.map.len(),
             bytes: inner.bytes,
             budget: self.budget,
-            policy: self.policy,
         }
     }
 
@@ -337,19 +278,19 @@ impl ArtifactCache {
         // eviction beats maintaining an ordered structure.
         while inner.bytes > self.budget {
             let clock = inner.clock;
-            let candidates = inner.map.iter().filter(|(k, _)| **k != key); // never evict what we just inserted
-            let victim = match self.policy {
-                EvictionPolicy::Lru => candidates.min_by_key(|(_, e)| e.last_used),
-                // f64 values are finite by construction; tie-break on
-                // recency then bytes so the victim is deterministic even
-                // though HashMap iteration order is not.
-                EvictionPolicy::CostAware => candidates.min_by(|(_, a), (_, b)| {
+            // Never evict what we just inserted. f64 values are finite by
+            // construction; tie-break on recency then bytes so the victim
+            // is deterministic even though HashMap iteration order is not.
+            let victim = inner
+                .map
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by(|(_, a), (_, b)| {
                     a.value_per_byte(clock)
                         .total_cmp(&b.value_per_byte(clock))
                         .then(a.last_used.cmp(&b.last_used))
                         .then(b.bytes.cmp(&a.bytes))
-                }),
-            };
+                });
             let Some((&victim_key, _)) = victim else {
                 break;
             };
@@ -377,8 +318,8 @@ mod tests {
         Arc::new(CodedFrame::encode(df))
     }
 
-    /// Equal rebuild costs make the cost-aware default degrade to LRU
-    /// order, so legacy LRU-shaped tests can share this helper.
+    /// Equal rebuild costs make cost-aware eviction degrade to
+    /// least-recently-used order.
     const FLAT_COST: Duration = Duration::from_micros(1000);
 
     #[test]
@@ -401,7 +342,7 @@ mod tests {
         let df = frame(0, 1000);
         let per_entry = coded(&df).approx_bytes();
         // Budget fits exactly two entries.
-        let cache = ArtifactCache::with_policy(2 * per_entry + per_entry / 2, EvictionPolicy::Lru);
+        let cache = ArtifactCache::with_budget(2 * per_entry + per_entry / 2);
         let frames: Vec<DataFrame> = (0..3).map(|t| frame(t * 100, 1000)).collect();
         for f in &frames[..2] {
             cache.put_frame(f.fingerprint(), coded(f), FLAT_COST);
@@ -413,7 +354,10 @@ mod tests {
         assert_eq!(m.evictions, 1);
         assert!(m.bytes <= m.budget, "{} > {}", m.bytes, m.budget);
         assert!(cache.get_frame(frames[0].fingerprint()).is_some());
-        assert!(cache.get_frame(frames[1].fingerprint()).is_none(), "LRU");
+        assert!(
+            cache.get_frame(frames[1].fingerprint()).is_none(),
+            "equal costs: the least recently used entry goes"
+        );
         assert!(cache.get_frame(frames[2].fingerprint()).is_some());
     }
 
@@ -422,7 +366,6 @@ mod tests {
         let big = frame(0, 1000);
         let per_entry = coded(&big).approx_bytes();
         let cache = ArtifactCache::with_budget(2 * per_entry + per_entry / 2);
-        assert_eq!(cache.policy(), EvictionPolicy::CostAware);
 
         // An expensive artifact (seconds to rebuild) inserted FIRST — under
         // LRU it would be the eviction victim.
@@ -531,17 +474,5 @@ mod tests {
         let m = cache.metrics();
         assert_eq!((m.entries, m.bytes), (0, 0));
         assert_eq!(m.hits, 1);
-    }
-
-    #[test]
-    fn policy_parse_round_trips() {
-        for p in [EvictionPolicy::CostAware, EvictionPolicy::Lru] {
-            assert_eq!(EvictionPolicy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(
-            EvictionPolicy::parse("cost-aware"),
-            Some(EvictionPolicy::CostAware)
-        );
-        assert_eq!(EvictionPolicy::parse("wat"), None);
     }
 }

@@ -41,7 +41,7 @@ pub mod session;
 pub mod skyline;
 pub mod viz;
 
-pub use cache::{ArtifactCache, CacheMetrics, EvictionPolicy, DEFAULT_CACHE_BUDGET};
+pub use cache::{ArtifactCache, CacheMetrics, DEFAULT_CACHE_BUDGET};
 pub use cancel::CancelToken;
 pub use contribution::{standardized, ContributionComputer};
 pub use error::ExplainError;

@@ -4,8 +4,8 @@
 //! over a previously-obtained dataframe, reads the explanation, and decides
 //! the next step. [`Session`] materializes that loop: it owns a table
 //! catalog, runs SQL steps against it, explains each step, records the
-//! history, and lets step outputs be saved as new tables for follow-up
-//! queries.
+//! a summary of each step in the history, and lets step outputs be saved
+//! as new tables for follow-up queries.
 //!
 //! ```
 //! use fedex_core::session::Session;
@@ -20,7 +20,7 @@
 //! let mut session = Session::new(Fedex::new());
 //! session.register("songs", songs);
 //! let entry = session.run("SELECT * FROM songs WHERE popularity > 65").unwrap();
-//! assert_eq!(entry.step.output.n_rows(), 3);
+//! assert_eq!(entry.n_rows_out, 3);
 //! assert_eq!(session.history().len(), 1);
 //! ```
 
@@ -48,13 +48,16 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One executed-and-explained step of a session.
+/// One executed-and-explained step of a session: a summary, not the
+/// step's frames, so a long session's history stays small.
 #[derive(Debug, Clone)]
 pub struct SessionEntry {
     /// The SQL text as submitted.
     pub sql: String,
-    /// The executed step (inputs, operation, output, provenance).
-    pub step: ExploratoryStep,
+    /// Row count of the step's first input.
+    pub n_rows_in: usize,
+    /// Row count of the step's output.
+    pub n_rows_out: usize,
     /// FEDEX's explanations for the step.
     pub explanations: Vec<Explanation>,
     /// The catalog name the output was saved under, when saved.
@@ -101,18 +104,9 @@ impl Session {
         self.run_inner(sql, Some(name.into()))
     }
 
-    /// [`Session::run`] with per-stage wall-clock timings — the serving
-    /// layer reports these so clients can observe warm-cache encode times.
-    pub fn run_traced(
-        &mut self,
-        sql: &str,
-        save_as: Option<String>,
-    ) -> Result<(&SessionEntry, Vec<crate::StageReport>)> {
-        self.run_traced_configured(sql, save_as, |_| {})
-    }
-
-    /// [`Session::run_traced`] with per-run configuration grafted onto a
-    /// clone of the session's explainer — the serving layer uses this to
+    /// [`Session::run`] with per-stage wall-clock timings and per-run
+    /// configuration grafted onto a clone of the session's explainer — the
+    /// serving layer reports the timings, and uses the configuration to
     /// attach a cancellation token or downgrade one run to
     /// FEDEX-Sampling without touching the session's base configuration.
     pub fn run_traced_configured(
@@ -148,12 +142,15 @@ impl Session {
         explanations: Vec<Explanation>,
         save_as: Option<String>,
     ) -> &SessionEntry {
+        let n_rows_in = step.inputs[0].n_rows();
+        let n_rows_out = step.output.n_rows();
         if let Some(name) = &save_as {
-            self.catalog.register(name.clone(), step.output.clone());
+            self.catalog.register(name.clone(), step.output);
         }
         self.history.push(SessionEntry {
             sql: sql.to_string(),
-            step,
+            n_rows_in,
+            n_rows_out,
             explanations,
             saved_as: save_as,
         });
@@ -283,39 +280,11 @@ impl SessionManager {
         Ok(entry.clone())
     }
 
-    /// [`SessionManager::run`] with per-stage wall-clock timings.
-    pub fn run_traced(
-        &self,
-        session: &str,
-        sql: &str,
-        save_as: Option<&str>,
-    ) -> Result<(SessionEntry, Vec<crate::StageReport>)> {
-        self.run_traced_with(session, sql, save_as, |entry, trace| {
-            (entry.clone(), trace.to_vec())
-        })
-    }
-
-    /// Run one traced step and hand the recorded entry to `f` **without
-    /// cloning it** — a [`SessionEntry`] owns full input/output dataframes
-    /// (and per-explanation row sets), so the serving layer summarizes in
-    /// place instead of deep-copying megabytes per request.
-    pub fn run_traced_with<R>(
-        &self,
-        session: &str,
-        sql: &str,
-        save_as: Option<&str>,
-        f: impl FnOnce(&SessionEntry, &[crate::StageReport]) -> R,
-    ) -> Result<R> {
-        let s = self.session(session);
-        let mut s = write_recover(&s);
-        let (entry, trace) = s.run_traced(sql, save_as.map(str::to_string))?;
-        Ok(f(entry, &trace))
-    }
-
-    /// [`SessionManager::run_traced_with`] with per-run configuration
-    /// grafted onto the run (see [`Session::run_traced_configured`]) —
-    /// how the serving layer attaches deadlines and downgrades pressured
-    /// runs to FEDEX-Sampling.
+    /// Run one traced step with per-run configuration grafted onto the
+    /// run (see [`Session::run_traced_configured`]) and hand the recorded
+    /// entry and stage timings to `f` — how the serving layer attaches
+    /// deadlines, downgrades pressured runs to FEDEX-Sampling, and
+    /// summarizes the entry without cloning its explanations.
     pub fn run_traced_configured_with<R>(
         &self,
         session: &str,
@@ -332,8 +301,6 @@ impl SessionManager {
     }
 
     /// A clone of one session's history (empty for an unknown session).
-    /// Cloning copies the entries' dataframes — wire surfaces should use
-    /// [`SessionManager::history_with`] instead.
     pub fn history(&self, session: &str) -> Vec<SessionEntry> {
         self.history_with(session, <[SessionEntry]>::to_vec)
     }
@@ -389,7 +356,7 @@ mod tests {
         let mut s = Session::new(Fedex::new());
         s.register("songs", songs());
         let entry = s.run("SELECT * FROM songs WHERE popularity > 65").unwrap();
-        assert_eq!(entry.step.inputs[0].n_rows(), 120);
+        assert_eq!(entry.n_rows_in, 120);
         assert!(!entry.explanations.is_empty());
         assert!(entry.saved_as.is_none());
 
@@ -407,7 +374,7 @@ mod tests {
             .unwrap();
         // Chain a second step over the saved output.
         let entry = s.run("SELECT * FROM popular WHERE year > 2012").unwrap();
-        assert!(entry.step.inputs[0].n_rows() < 120);
+        assert!(entry.n_rows_in < 120);
         assert_eq!(s.history().len(), 2);
         assert_eq!(s.history()[0].saved_as.as_deref(), Some("popular"));
     }
@@ -456,7 +423,7 @@ mod tests {
         let entry = mgr
             .run("s", "SELECT * FROM popular WHERE year > 2012", None)
             .unwrap();
-        assert!(entry.step.inputs[0].n_rows() < 120);
+        assert!(entry.n_rows_in < 120);
         assert_eq!(mgr.history("s").len(), 2);
     }
 

@@ -130,15 +130,14 @@ fn eviction_respects_budget_under_concurrent_explains() {
 fn cost_aware_eviction_keeps_hot_expensive_artifacts_resident() {
     // A large table whose encode + kernel build are the expensive
     // artifacts, explained repeatedly (hot), against a churn of one-off
-    // small tables (cheap to rebuild, immediately stale). Under the
-    // default cost-aware policy the churn is evicted, the big table's
+    // small tables (cheap to rebuild, immediately stale). Under
+    // cost-aware eviction the churn is evicted, the big table's
     // coded frame stays resident, and — the correctness half — results
     // stay byte-identical no matter what was evicted in between.
     let big = spotify(40_000, 77);
     let big_frame_bytes = fedex_frame::CodedFrame::encode(&big).approx_bytes();
     let budget = big_frame_bytes * 2;
     let cache = Arc::new(ArtifactCache::with_budget(budget));
-    assert_eq!(cache.policy(), fedex_core::EvictionPolicy::CostAware);
     let mgr = SessionManager::new(
         Fedex::new().with_execution(ExecutionMode::Serial),
         cache.clone(),

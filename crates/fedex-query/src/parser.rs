@@ -394,9 +394,16 @@ impl<'a> Lexer<'a> {
 
 // --------------------------------------------------------------- parser --
 
+/// Deepest nesting of `NOT`s, parentheses and subqueries a query may use.
+/// The parser recurses once per level, so without a cap a long enough run
+/// of `NOT`s would overflow the stack and abort the whole process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
+    /// Nesting levels currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -417,6 +424,17 @@ impl Parser {
             offset: self.toks[self.pos].0,
             message: message.into(),
         }
+    }
+
+    /// Run `f` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<()> {
@@ -558,14 +576,14 @@ impl Parser {
         match self.next() {
             Tok::Ident(name) => Ok(Source::Table(name)),
             Tok::LBracket => {
-                let q = self.parse_query()?;
+                let q = self.nested(Self::parse_query)?;
                 match self.next() {
                     Tok::RBracket => Ok(Source::Subquery(Box::new(q))),
                     other => Err(self.error(format!("expected ']', found {other:?}"))),
                 }
             }
             Tok::LParen => {
-                let q = self.parse_query()?;
+                let q = self.nested(Self::parse_query)?;
                 match self.next() {
                     Tok::RParen => Ok(Source::Subquery(Box::new(q))),
                     other => Err(self.error(format!("expected ')', found {other:?}"))),
@@ -636,7 +654,7 @@ impl Parser {
     fn parse_not(&mut self) -> Result<Expr> {
         if matches!(self.peek(), Tok::Not) {
             self.next();
-            return Ok(self.parse_not()?.not());
+            return Ok(self.nested(Self::parse_not)?.not());
         }
         self.parse_comparison()
     }
@@ -670,7 +688,7 @@ impl Parser {
             Tok::Float(v) => Ok(Expr::lit(v)),
             Tok::Str(s) => Ok(Expr::Lit(Value::str(s))),
             Tok::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 match self.next() {
                     Tok::RParen => Ok(e),
                     other => Err(self.error(format!("expected ')', found {other:?}"))),
@@ -684,7 +702,11 @@ impl Parser {
 /// Parse one query string.
 pub fn parse_query(sql: &str) -> Result<ParsedQuery> {
     let toks = Lexer::new(sql).tokenize()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     match p.peek() {
         Tok::Eof => Ok(q),
@@ -842,6 +864,22 @@ mod tests {
         assert!(parse_query("FROB * FROM t").is_err());
         assert!(parse_query("SELECT frob(x) FROM t GROUP BY x").is_err());
         assert!(parse_query("SELECT * FROM t WHERE x = 'unterminated").is_err());
+        // Deep nesting answers a parse error instead of overflowing the
+        // stack: NOT chains, parentheses and subqueries.
+        let deep = [
+            format!("SELECT * FROM t WHERE {}x > 1", "NOT ".repeat(1_000_000)),
+            format!("SELECT * FROM t WHERE {}x > 1", "(".repeat(1_000_000)),
+            "SELECT * FROM (".repeat(1_000_000),
+        ];
+        for sql in &deep {
+            let err = parse_query(sql).unwrap_err().to_string();
+            assert!(
+                err.starts_with("parse error") && err.contains("nesting"),
+                "{err}"
+            );
+        }
+        let at_cap = format!("SELECT * FROM t WHERE {}x > 1", "NOT ".repeat(MAX_DEPTH));
+        assert!(parse_query(&at_cap).is_ok());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] makes the server misbehave on purpose — worker panics
 //! mid-explain, artificial stage latency, torn or slowed response writes,
-//! and mid-response disconnects — so the chaos harness
-//! (`serve_bench --chaos`) and `tests/faults.rs` can assert the recovery
-//! machinery (panic isolation, deadlines, waiter detachment, typed error
-//! codes) under sustained injected failure instead of hoping production
-//! finds the gaps first.
+//! and mid-response disconnects — so the chaos harness (`fedex-bench`'s
+//! `chaos` bin) and `tests/faults.rs` can assert the recovery machinery
+//! (panic isolation, deadlines, waiter detachment, typed error codes)
+//! under sustained injected failure instead of hoping production finds
+//! the gaps first.
 //!
 //! Decisions are drawn from a seeded counter-based generator
 //! (SplitMix64), so a given seed yields the same fault *sequence* run to

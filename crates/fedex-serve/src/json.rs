@@ -175,11 +175,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a line of `[`s would overflow the
+/// stack and abort the whole process. Wire requests nest a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -193,6 +199,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,8 +232,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -233,6 +241,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
@@ -443,6 +466,15 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+        // Deep nesting answers an error instead of overflowing the stack.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(1_000_000);
+            assert_eq!(parse(&deep).unwrap_err().message, "nesting too deep");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(parse(&past_cap).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

@@ -209,7 +209,6 @@ fn cache_json(manager: &SessionManager) -> Json {
         ("entries", n(m.entries as f64)),
         ("bytes", n(m.bytes as f64)),
         ("budget", n(m.budget as f64)),
-        ("policy", s(m.policy.as_str())),
     ])
 }
 
@@ -411,7 +410,7 @@ impl ExplainService {
 
     /// [`ExplainService::new`] with an explicit observability hub —
     /// `None` disables histograms, tracing, and the flight recorder
-    /// (used by `serve_bench --no-obs` to measure instrumentation
+    /// (used by `fedex serve --no-obs` to measure instrumentation
     /// overhead).
     pub fn with_obs(manager: SessionManager, obs: Option<Arc<Obs>>) -> Self {
         ExplainService {
@@ -693,9 +692,6 @@ impl ExplainService {
         // Stage breakdown captured out of the summarize closure for the
         // slow-explain log (printed after the session lock is released).
         let mut slow_breakdown = String::new();
-        // Summarize in place (`run_traced_configured_with`): a
-        // SessionEntry owns the full input/output dataframes, which must
-        // not be deep-cloned per wire request.
         let response = self.manager.run_traced_configured_with(
             session,
             sql,
@@ -755,8 +751,8 @@ impl ExplainService {
                 let mut fields = vec![
                     ("session", s(session)),
                     ("sql", s(sql)),
-                    ("n_rows_in", n(entry.step.inputs[0].n_rows() as f64)),
-                    ("n_rows_out", n(entry.step.output.n_rows() as f64)),
+                    ("n_rows_in", n(entry.n_rows_in as f64)),
+                    ("n_rows_out", n(entry.n_rows_out as f64)),
                     ("explanations", explanations),
                     ("rendered", s(rendered)),
                     ("stage_trace", trace_json(trace)),
@@ -1130,7 +1126,6 @@ impl ExplainService {
     }
 
     fn history(&self, session: &str) -> Json {
-        // Summaries only — never clone the entries' dataframes.
         let entries = self.manager.history_with(session, |entries| {
             entries
                 .iter()
@@ -1139,7 +1134,7 @@ impl ExplainService {
                         ("sql", s(e.sql.clone())),
                         ("saved_as", e.saved_as.clone().map_or(Json::Null, Json::Str)),
                         ("n_explanations", n(e.explanations.len() as f64)),
-                        ("n_rows_out", n(e.step.output.n_rows() as f64)),
+                        ("n_rows_out", n(e.n_rows_out as f64)),
                     ])
                 })
                 .collect::<Vec<_>>()

@@ -72,6 +72,18 @@ fn register_explain_roundtrip_and_warm_cache() {
         .and_then(Json::as_f64)
         .unwrap();
     assert!(hits > 0.0, "second request must hit the cache: {warm:?}");
+    assert_eq!(
+        warm.get("rendered").and_then(Json::as_str),
+        Some(rendered),
+        "warm == cold over the wire"
+    );
+    let stages = cold.get("stage_trace").and_then(Json::as_arr).unwrap();
+    assert!(
+        stages
+            .iter()
+            .any(|r| r.get("stage").and_then(Json::as_str) == Some("ScoreColumns")),
+        "{stages:?}"
+    );
     let cold_encode = cold.get("encode_micros").and_then(Json::as_f64).unwrap();
     let warm_encode = warm.get("encode_micros").and_then(Json::as_f64).unwrap();
     assert!(
@@ -411,6 +423,23 @@ fn malformed_lines_do_not_kill_the_connection() {
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     let r = client.request_raw("{broken json").unwrap();
     assert!(r.contains(r#""ok":false"#));
+    // Deep nesting answers typed instead of overflowing a stack and
+    // aborting the process: in the JSON line itself, and in the SQL.
+    let r = client.request_raw(&"[".repeat(1_000_000)).unwrap();
+    assert!(r.contains(r#""code":"invalid_json""#), "{r}");
+    let sql = format!("SELECT * FROM t WHERE {}x > 1", "NOT ".repeat(1_000_000));
+    let r = client
+        .request(&json::obj([
+            ("cmd", json::s("explain")),
+            ("session", json::s("deep")),
+            ("sql", json::s(sql)),
+        ]))
+        .unwrap();
+    assert_eq!(
+        r.get("code").and_then(Json::as_str),
+        Some("explain_failed"),
+        "{r:?}"
+    );
     // The same connection still serves valid requests.
     let r = client.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
