@@ -4,7 +4,8 @@
 //! the ScoreColumns stage spends ~1.7s of 1.9s dictionary-encoding inputs
 //! that, in a served deployment, were registered once and explained many
 //! times. An [`ArtifactCache`] memoizes exactly those re-derivable
-//! artifacts across requests:
+//! artifacts across requests, in three key namespaces sharing one byte
+//! budget:
 //!
 //! * **coded frames** — the [`CodedFrame`] of an input dataframe, keyed by
 //!   the dataframe's *content* [`Fingerprint`]. Any request whose input
@@ -13,7 +14,21 @@
 //! * **kernel caches** — the per-column [`ExcKernelCache`] of one
 //!   exploratory step, keyed by a step-level fingerprint (operation +
 //!   input fingerprints), so a *repeated query* also skips the provenance
-//!   gathers and base histograms.
+//!   gathers and base histograms;
+//! * **mined partitions** — the full list of §3.5 row partitions of one
+//!   input, keyed by its content fingerprint, the set counts and the
+//!   mining seed. Partitions come from the input, not the query, so *any*
+//!   later step over the same table — another filter, a group-by, the
+//!   same table as a join or union arm — skips mining. The entry is
+//!   charged for its distinct row payloads only: a many-to-one partition
+//!   shares its via column's frequency payload (see [`crate::partition`]).
+//!
+//! Partition lists are admitted on an input's **second sighting** only:
+//! the PartitionRows stage inserts a list only when ScoreColumns found the
+//! input's coded frame already cached. One-shot inputs (a union arm, a
+//! join subquery, a fresh upload) are mined but never inserted, so they
+//! cannot evict the frames and kernels of tables that are explained
+//! again.
 //!
 //! Entries are plain memoizations of pure functions of the key, so a hit
 //! can never change an explanation — only skip recomputing it; the
@@ -44,9 +59,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use fedex_frame::{CodedFrame, Fingerprint};
+use fedex_frame::{CodedFrame, Fingerprint, FpHasher};
 
 use crate::kernel::ExcKernelCache;
+use crate::partition::{self, RowPartition};
 
 /// Default byte budget: 1 GiB. A 1M-row Spotify-shaped table (~15 columns,
 /// several high-cardinality dictionaries) codes to ~0.5 GiB, so the
@@ -60,13 +76,28 @@ pub const DEFAULT_CACHE_BUDGET: usize = 1024 * 1024 * 1024;
 enum Artifact {
     Frame(Arc<CodedFrame>),
     Kernels(Arc<ExcKernelCache>),
+    Partitions(Arc<Vec<RowPartition>>),
 }
 
-/// The two key namespaces share one map so the budget is global.
+/// The three key namespaces share one map so the budget is global.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Frame(Fingerprint),
     Kernels(Fingerprint),
+    Partitions(Fingerprint),
+}
+
+/// Key of an input's mined partitions: mining is a pure function of the
+/// input's content, the requested set counts and the sampling seed.
+fn partitions_key(input: Fingerprint, set_counts: &[usize], seed: u64) -> Key {
+    let mut h = FpHasher::new();
+    h.write_fingerprint(input);
+    h.write_u64(set_counts.len() as u64);
+    for &n in set_counts {
+        h.write_u64(n as u64);
+    }
+    h.write_u64(seed);
+    Key::Partitions(h.finish())
 }
 
 struct Entry {
@@ -201,6 +232,42 @@ impl ArtifactCache {
         self.put(
             Key::Kernels(step_fp),
             Artifact::Kernels(kernels),
+            bytes,
+            rebuild,
+        );
+    }
+
+    /// The cached mined partitions of the input with content fingerprint
+    /// `input`, mined under `set_counts` and `seed`, refreshing their
+    /// recency. Their `input_idx` is whatever the inserting step used; the
+    /// caller relabels.
+    pub fn get_partitions(
+        &self,
+        input: Fingerprint,
+        set_counts: &[usize],
+        seed: u64,
+    ) -> Option<Arc<Vec<RowPartition>>> {
+        match self.get(partitions_key(input, set_counts, seed)) {
+            Some(Artifact::Partitions(p)) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// Insert (or refresh) the mined partitions of one input; `rebuild` is
+    /// the measured mining time. The entry is charged for its distinct row
+    /// payloads, not once per partition.
+    pub fn put_partitions(
+        &self,
+        input: Fingerprint,
+        set_counts: &[usize],
+        seed: u64,
+        partitions: Arc<Vec<RowPartition>>,
+        rebuild: Duration,
+    ) {
+        let bytes = partition::approx_bytes(&partitions).max(1024);
+        self.put(
+            partitions_key(input, set_counts, seed),
+            Artifact::Partitions(partitions),
             bytes,
             rebuild,
         );
@@ -462,6 +529,22 @@ mod tests {
         cache.put_kernels(fp, Arc::new(ExcKernelCache::default()), FLAT_COST);
         assert!(cache.get_kernels(fp).is_some());
         assert_eq!(cache.metrics().entries, 2);
+    }
+
+    #[test]
+    fn partitions_are_keyed_by_input_set_counts_and_seed() {
+        let cache = ArtifactCache::default();
+        let df = frame(0, 100);
+        let fp = df.fingerprint();
+        let mined =
+            crate::partition::mine_input_partitions(&df, &CodedFrame::encode(&df), 0, &[5], 1)
+                .unwrap();
+        cache.put_partitions(fp, &[5], 1, Arc::new(mined), FLAT_COST);
+        assert!(cache.get_partitions(fp, &[5], 1).is_some());
+        assert!(cache.get_partitions(fp, &[5, 10], 1).is_none());
+        assert!(cache.get_partitions(fp, &[5], 2).is_none());
+        assert!(cache.get_frame(fp).is_none(), "namespaces are distinct");
+        assert_eq!(cache.metrics().entries, 1);
     }
 
     #[test]

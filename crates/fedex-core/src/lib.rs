@@ -54,10 +54,9 @@ pub use interestingness::{
 pub use kernel::ExcKernelCache;
 pub use measures_ext::{Compactness, Surprisingness};
 pub use partition::{
-    build_partitions_for_attr, build_partitions_for_attr_coded, frequency_partition,
-    frequency_partition_coded, many_to_one_partitions, many_to_one_partitions_coded,
-    numeric_partition, numeric_partition_coded, PartitionKind, RowPartition, RowSetIndex, SetMeta,
-    IGNORE,
+    build_partitions_for_attr, frequency_partition, frequency_partition_coded,
+    many_to_one_partitions, many_to_one_partitions_coded, mine_input_partitions, numeric_partition,
+    numeric_partition_coded, PartitionKind, RowPartition, RowSetIndex, SetMeta, IGNORE,
 };
 pub use pipeline::{ExecutionMode, ExplainPipeline, PipelineContext, Stage, StageReport};
 pub use session::{Session, SessionEntry, SessionManager};

@@ -8,11 +8,21 @@
 //! (`u32` set index; [`IGNORE`] marks the ignore-set) plus per-set metadata,
 //! rather than as materialized index lists.
 //!
+//! The assignment is the partition's row payload and sits behind an `Arc`:
+//! cloning a [`RowPartition`] copies its set metadata (O(sets)) and shares
+//! the rows. [`mine_input_partitions`] builds each distinct payload once
+//! per input — a many-to-one partition of `A` via `B` *is* `B`'s frequency
+//! partition relabelled, so it points at that payload instead of
+//! rebuilding it — and the cross-request cache holds an input's whole
+//! mined list at the cost of its distinct payloads.
+//!
 //! Row lookups go through [`RowPartition::rows_by_set`], a CSR-style
 //! index (`offsets`/`rows` arrays) built lazily by one counting-sort pass
 //! over the assignment — consumers that need the rows of several sets (the
 //! Present stage, drill-downs, rerun baselines) slice it instead of
-//! re-scanning the full assignment per set.
+//! re-scanning the full assignment per set. The index belongs to one
+//! handle: a clone starts without it, so partitions held by the cache
+//! never carry one, and each explain builds the indexes it uses.
 //!
 //! All three builders run entirely on the dense dictionary codes of
 //! [`fedex_frame::codec`] — value counting is an array scatter, the
@@ -23,7 +33,7 @@
 //! `*_coded` variants take pre-encoded columns so the pipeline can encode
 //! each input once; the plain wrappers encode on the fly.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fedex_frame::{CodedColumn, CodedFrame, DataFrame, NULL_CODE};
 use fedex_stats::binning::{equal_frequency_cut, interval_label, value_tie_runs};
@@ -150,7 +160,10 @@ impl RowSetIndex {
 }
 
 /// A partition of one input dataframe into disjoint sets-of-rows.
-#[derive(Debug, Clone)]
+///
+/// Clones share the row payload (`assignment`) and start without a CSR
+/// index, so a clone costs O(sets), not O(rows).
+#[derive(Debug)]
 pub struct RowPartition {
     /// Which input dataframe of the step this partitions.
     pub input_idx: usize,
@@ -160,8 +173,9 @@ pub struct RowPartition {
     pub kind: PartitionKind,
     /// Per-set metadata, indexed by assignment code.
     pub sets: Vec<SetMeta>,
-    /// Per-row set assignment (`IGNORE` = ignore-set).
-    pub assignment: Vec<u32>,
+    /// Per-row set assignment (`IGNORE` = ignore-set), shared by every
+    /// clone and by every partition relabelled from the same payload.
+    pub assignment: Arc<[u32]>,
     /// Number of rows in the ignore-set.
     pub ignore_size: usize,
     /// Lazily-built CSR index over `assignment`
@@ -185,7 +199,7 @@ impl RowPartition {
             attr: attr.into(),
             kind,
             sets,
-            assignment,
+            assignment: assignment.into(),
             ignore_size,
             index: OnceLock::new(),
         }
@@ -199,7 +213,7 @@ impl RowPartition {
     /// The CSR rows-by-set index, built on first use by one counting-sort
     /// pass and cached. All production row lookups go through slices of
     /// this index; the per-set scan [`RowPartition::rows_of_set`] is kept
-    /// as the reference. Callers that mutate `assignment` after the index
+    /// as the reference. Callers that replace `assignment` after the index
     /// was built must rebuild the partition.
     pub fn rows_by_set(&self) -> &RowSetIndex {
         self.index
@@ -234,7 +248,7 @@ impl RowPartition {
     pub fn validate(&self) -> Result<()> {
         let mut sizes = vec![0usize; self.sets.len()];
         let mut ignored = 0usize;
-        for &a in &self.assignment {
+        for &a in self.assignment.iter() {
             if a == IGNORE {
                 ignored += 1;
             } else if (a as usize) < sizes.len() {
@@ -258,6 +272,46 @@ impl RowPartition {
         }
         Ok(())
     }
+}
+
+impl Clone for RowPartition {
+    /// Shares the row payload; the CSR index is per handle and is rebuilt
+    /// on the clone's first [`RowPartition::rows_by_set`] call.
+    fn clone(&self) -> Self {
+        RowPartition {
+            input_idx: self.input_idx,
+            attr: self.attr.clone(),
+            kind: self.kind.clone(),
+            sets: self.sets.clone(),
+            assignment: Arc::clone(&self.assignment),
+            ignore_size: self.ignore_size,
+            index: OnceLock::new(),
+        }
+    }
+}
+
+/// Estimated resident bytes of a list of partitions: the metadata of each
+/// handle plus every *distinct* row payload once (payloads shared between
+/// handles are counted by pointer identity).
+pub(crate) fn approx_bytes(partitions: &[RowPartition]) -> usize {
+    let mut payloads = std::collections::HashSet::new();
+    partitions
+        .iter()
+        .map(|p| {
+            let meta: usize = std::mem::size_of::<RowPartition>()
+                + p.attr.len()
+                + p.sets
+                    .iter()
+                    .map(|s| std::mem::size_of::<SetMeta>() + s.label.len())
+                    .sum::<usize>();
+            let rows = if payloads.insert(p.assignment.as_ptr()) {
+                std::mem::size_of_val(&*p.assignment)
+            } else {
+                0
+            };
+            meta + rows
+        })
+        .sum()
 }
 
 /// Frequency-based partition: one set per top-`n` most prevalent value of
@@ -576,8 +630,14 @@ fn holds_many_to_one_coded(a: &CodedColumn, b: &CodedColumn, rows: Option<&[usiz
 
 /// Build all partitions of `df` for one attribute: frequency, numeric bins
 /// (when applicable), and every many-to-one partition — for each requested
-/// set count. Encodes the frame on the fly; the pipeline uses
-/// [`build_partitions_for_attr_coded`] with shared coded inputs instead.
+/// set count. Encodes the frame on the fly; the pipeline mines whole
+/// inputs from shared coded frames with [`mine_input_partitions`]'s
+/// payload sharing instead, and this stays the single-attribute
+/// reference.
+///
+/// Many-to-one mining is hoisted out of the set-count loop: each
+/// `(attr, B)` functional dependency is sample-rejected and full-verified
+/// exactly once, then reused for every requested set count.
 pub fn build_partitions_for_attr(
     df: &DataFrame,
     input_idx: usize,
@@ -585,29 +645,12 @@ pub fn build_partitions_for_attr(
     set_counts: &[usize],
     seed: u64,
 ) -> Result<Vec<RowPartition>> {
-    let coded = CodedFrame::encode(df);
-    build_partitions_for_attr_coded(df, &coded, input_idx, attr, set_counts, seed)
-}
-
-/// [`build_partitions_for_attr`] over a pre-encoded frame.
-///
-/// Many-to-one mining is hoisted out of the set-count loop: each
-/// `(attr, B)` functional dependency is sample-rejected and full-verified
-/// exactly once, then reused for every requested set count (previously
-/// the dominant PartitionRows cost — one full FD scan *per set count*).
-pub fn build_partitions_for_attr_coded(
-    df: &DataFrame,
-    coded: &CodedFrame,
-    input_idx: usize,
-    attr: &str,
-    set_counts: &[usize],
-    seed: u64,
-) -> Result<Vec<RowPartition>> {
     let col = df.column(attr)?;
+    let coded = CodedFrame::encode(df);
     let coded_col = coded
         .column(attr)
         .ok_or_else(|| ExplainError::UnknownColumn(attr.to_string()))?;
-    let vias = many_to_one_vias(coded, attr, seed)?;
+    let vias = many_to_one_vias(&coded, attr, seed)?;
     let mut out = Vec::new();
     for &n in set_counts {
         if let Some(p) = frequency_partition_coded(coded_col, input_idx, attr, n) {
@@ -621,6 +664,100 @@ pub fn build_partitions_for_attr_coded(
         out.extend(partitions_for_vias(&vias, input_idx, attr, n));
     }
     Ok(out)
+}
+
+/// What one attribute of an input contributes to its mined list: its own
+/// frequency and numeric payloads per requested set count, and the
+/// columns it stands many-to-one with. The unit of work PartitionRows
+/// schedules in parallel; [`assemble_input_partitions`] joins the units.
+#[derive(Debug)]
+pub(crate) struct AttrPayloads {
+    attr: String,
+    /// Indexed like `set_counts`.
+    frequency: Vec<Option<RowPartition>>,
+    /// Indexed like `set_counts`; all `None` for non-numeric columns.
+    numeric: Vec<Option<RowPartition>>,
+    /// Verified many-to-one columns `B`, in schema order.
+    vias: Vec<String>,
+}
+
+/// Mine one attribute's payloads: each frequency and numeric partition
+/// once per set count, and each `(attr, B)` functional dependency
+/// sample-rejected and full-verified once.
+pub(crate) fn mine_attr_payloads(
+    df: &DataFrame,
+    coded: &CodedFrame,
+    input_idx: usize,
+    attr: &str,
+    set_counts: &[usize],
+    seed: u64,
+) -> Result<AttrPayloads> {
+    let numeric = df.column(attr)?.dtype().is_numeric();
+    let coded_col = coded
+        .column(attr)
+        .ok_or_else(|| ExplainError::UnknownColumn(attr.to_string()))?;
+    let vias = many_to_one_vias(coded, attr, seed)?
+        .into_iter()
+        .map(|(b, _)| b.to_string())
+        .collect();
+    Ok(AttrPayloads {
+        attr: attr.to_string(),
+        frequency: set_counts
+            .iter()
+            .map(|&n| frequency_partition_coded(coded_col, input_idx, attr, n))
+            .collect(),
+        numeric: set_counts
+            .iter()
+            .map(|&n| numeric.then(|| numeric_partition_coded(coded_col, input_idx, attr, n))?)
+            .collect(),
+        vias,
+    })
+}
+
+/// Join the payloads of every attribute of one input (in schema order)
+/// into the input's mined list — the concatenation, attribute by
+/// attribute, of [`build_partitions_for_attr`]. A many-to-one
+/// partition of `A` via `B` is `B`'s frequency payload for the same set
+/// count, relabelled: it shares `B`'s rows instead of rebuilding them.
+pub(crate) fn assemble_input_partitions(attrs: &[AttrPayloads]) -> Vec<RowPartition> {
+    let mut out = Vec::new();
+    for a in attrs {
+        for k in 0..a.frequency.len() {
+            out.extend(a.frequency[k].clone());
+            out.extend(a.numeric[k].clone());
+            for via in &a.vias {
+                let b = attrs
+                    .iter()
+                    .find(|b| &b.attr == via)
+                    .expect("a via is a column of the same input");
+                if let Some(f) = &b.frequency[k] {
+                    let mut p = f.clone();
+                    p.attr = a.attr.clone();
+                    p.kind = PartitionKind::ManyToOne { via: via.clone() };
+                    out.push(p);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every partition of one input: [`build_partitions_for_attr`] for
+/// each attribute in schema order, concatenated — with each distinct row
+/// payload built once and shared (see the module docs).
+pub fn mine_input_partitions(
+    df: &DataFrame,
+    coded: &CodedFrame,
+    input_idx: usize,
+    set_counts: &[usize],
+    seed: u64,
+) -> Result<Vec<RowPartition>> {
+    let attrs = df
+        .columns()
+        .iter()
+        .map(|c| mine_attr_payloads(df, coded, input_idx, c.name(), set_counts, seed))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(assemble_input_partitions(&attrs))
 }
 
 #[cfg(test)]
@@ -764,6 +901,59 @@ mod tests {
         for p in &ps {
             p.validate().unwrap();
         }
+    }
+
+    #[test]
+    fn mine_input_partitions_equals_per_attribute_builds() {
+        let d = df();
+        let coded = CodedFrame::encode(&d);
+        let got = mine_input_partitions(&d, &coded, 1, &[2, 5], 3).unwrap();
+        let want: Vec<RowPartition> = d
+            .schema()
+            .fields()
+            .iter()
+            .flat_map(|f| build_partitions_for_attr(&d, 1, &f.name, &[2, 5], 3).unwrap())
+            .collect();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.input_idx, &g.attr, &g.kind),
+                (w.input_idx, &w.attr, &w.kind)
+            );
+            assert_eq!(g.sets, w.sets);
+            assert_eq!(g.assignment, w.assignment);
+            assert_eq!(g.ignore_size, w.ignore_size);
+        }
+        // year via decade shares decade's frequency payload for each n.
+        for n in [2, 5] {
+            let of = |attr: &str, many_to_one: bool| {
+                got.iter()
+                    .find(|p| {
+                        p.attr == attr
+                            && p.n_sets() == n.min(3)
+                            && matches!(p.kind, PartitionKind::ManyToOne { .. }) == many_to_one
+                            && p.kind != PartitionKind::NumericBins
+                    })
+                    .unwrap()
+            };
+            assert!(Arc::ptr_eq(
+                &of("year", true).assignment,
+                &of("decade", false).assignment
+            ));
+        }
+    }
+
+    #[test]
+    fn clones_share_rows_but_not_the_index() {
+        let p = frequency_partition(&df(), 0, "decade", 3).unwrap().unwrap();
+        p.rows_by_set();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.assignment, &q.assignment));
+        assert!(q.index.get().is_none());
+        // Shared payloads are counted once.
+        let one = approx_bytes(std::slice::from_ref(&p));
+        let two = approx_bytes(&[p.clone(), q]);
+        assert!(two < 2 * one && two > one, "{one} vs {two}");
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub struct Partitioned {
     pub scored: ScoredColumns,
     /// All candidate partitions, deduplicated.
     pub partitions: Vec<RowPartition>,
+    /// Cross-request cache consultations, as `(artifact, hit)` pairs —
+    /// one `partitions[i]` entry per input when an
+    /// [`ArtifactCache`](crate::ArtifactCache) is configured; empty on
+    /// uncached runs.
+    pub cache_events: Vec<(String, bool)>,
 }
 
 /// One explanation candidate: a `(set-of-rows, column)` pair with its raw

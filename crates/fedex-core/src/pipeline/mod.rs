@@ -166,9 +166,10 @@ pub struct StageReport {
     /// `encode` vs `score` split; other stages have none.
     pub sub: Vec<(&'static str, Duration)>,
     /// Cache artifacts the stage consulted, as `(artifact, hit)` pairs —
+    /// when an [`ArtifactCache`](crate::ArtifactCache) is configured,
     /// ScoreColumns reports one `frame[i]` entry per input plus a
-    /// `kernels` entry when an [`ArtifactCache`](crate::ArtifactCache)
-    /// is configured; other stages (and uncached runs) report none.
+    /// `kernels` entry, and PartitionRows one `partitions[i]` entry per
+    /// input; other stages (and uncached runs) report none.
     pub artifacts: Vec<(String, bool)>,
 }
 
@@ -298,7 +299,7 @@ impl<'a> ExplainPipeline<'a> {
             t0,
             partitioned.partitions.len(),
             Vec::new(),
-            Vec::new(),
+            partitioned.cache_events.clone(),
         );
 
         let contribute = Contribute { contributor };

@@ -18,7 +18,9 @@ use crate::error::ExplainError;
 use crate::explain::{CustomMeasure, Explanation};
 use crate::interestingness::{score_all_columns_coded, InterestingnessKind};
 use crate::kernel::{self, ExcKernelCache};
-use crate::partition::{build_partitions_for_attr_coded, PartitionKind, RowPartition, IGNORE};
+use crate::partition::{
+    assemble_input_partitions, mine_attr_payloads, PartitionKind, RowPartition, IGNORE,
+};
 use crate::skyline::{skyline_indices, weighted_score, StreamingSkyline};
 use crate::viz::{Bar, Chart, ChartKind};
 use crate::Result;
@@ -333,16 +335,28 @@ impl Stage for ScoreColumns<'_> {
 /// Step 2 of Algorithm 1: mine the §3.5 row partitions of every input,
 /// data-parallel over `(input, attribute)` pairs.
 ///
-/// Partitions that assign rows identically are deduplicated: a
+/// Partitions are a function of the input alone, so every attribute of
+/// every input is mined (each distinct row payload once, see
+/// [`crate::partition`]) and, with a cross-request [`ArtifactCache`], an
+/// input's whole list is looked up by content fingerprint first. A hit
+/// only relabels `input_idx`: the same table can be input 0 of a filter
+/// and input 1 of a join. A missed list is inserted only when
+/// ScoreColumns found the input's coded frame cached — the input's second
+/// sighting (see [`crate::cache`]).
+///
+/// Partitions *defined on a predicate column* of a filter (or group-by
+/// pre-filter) are excluded: the set "rows with popularity ∈ [65, 100]"
+/// explaining the step `popularity > 65` is a tautology. Every partition
+/// mined for attribute `A` has `attr == A`, so dropping those whose `attr`
+/// or defining column is a predicate column of input 0 matches skipping
+/// predicate attributes before mining.
+///
+/// Partitions that assign rows identically are then deduplicated: a
 /// many-to-one partition of `A` via `B` equals the frequency partition of
 /// `B` itself, and near-unique columns (ids, names) would otherwise spawn
 /// one such duplicate per functionally-dependent column. The many-to-one
 /// labelling is preferred when both arise (it carries the finer
 /// attribute, as in Example 3.9).
-///
-/// Partitions *defined on a predicate column* of a filter (or group-by
-/// pre-filter) are excluded: the set "rows with popularity ∈ [65, 100]"
-/// explaining the step `popularity > 65` is a tautology.
 pub struct PartitionRows {
     /// User-defined partitions used alongside the mined ones (§3.8);
     /// validated against Def. 3.8 and the step's inputs.
@@ -359,6 +373,7 @@ impl Stage for PartitionRows {
 
     fn run(&self, ctx: &PipelineContext<'_>, mut scored: ScoredColumns) -> Result<Partitioned> {
         let step = ctx.step;
+        let (set_counts, seed) = (&ctx.config.set_counts, ctx.config.seed);
         let predicate_cols: Vec<&str> = match &step.op {
             Operation::Filter { predicate } => predicate.referenced_columns(),
             Operation::GroupBy {
@@ -367,51 +382,82 @@ impl Stage for PartitionRows {
             } => f.referenced_columns(),
             _ => Vec::new(),
         };
-
-        // Work list in deterministic (input, schema) order.
-        let mut attrs: Vec<(usize, String)> = Vec::new();
-        for (idx, input) in step.inputs.iter().enumerate() {
-            for field in input.schema().fields() {
-                if idx == 0 && predicate_cols.contains(&field.name.as_str()) {
-                    continue;
-                }
-                attrs.push((idx, field.name.clone()));
-            }
-        }
-
         let coded = ensure_coded(step, &scored.coded, ctx);
         scored.coded = coded.clone();
-        let mined: Vec<Vec<RowPartition>> = try_par_map(ctx.mode(), &attrs, |(idx, attr)| {
-            ctx.check_cancel()?;
-            build_partitions_for_attr_coded(
-                &step.inputs[*idx],
-                &coded[*idx],
-                *idx,
-                attr,
-                &ctx.config.set_counts,
-                ctx.config.seed,
-            )
-        })?;
 
-        let mut partitions: Vec<RowPartition> = Vec::new();
-        let mut seen: std::collections::HashSet<(usize, String, &'static str, usize)> =
-            std::collections::HashSet::new();
-        for p in mined.into_iter().flatten() {
-            if p.input_idx == 0 && predicate_cols.contains(&p.defining_column()) {
+        let cache = ctx.config.artifact_cache.as_deref();
+        let fps = cache.map(|_| input_fingerprints(step));
+        let mut cache_events = Vec::new();
+        let mut mined: Vec<Option<Arc<Vec<RowPartition>>>> = match (cache, &fps) {
+            (Some(cache), Some(fps)) => fps
+                .iter()
+                .enumerate()
+                .map(|(i, &fp)| {
+                    let hit = cache.get_partitions(fp, set_counts, seed);
+                    cache_events.push((format!("partitions[{i}]"), hit.is_some()));
+                    hit
+                })
+                .collect(),
+            _ => vec![None; step.inputs.len()],
+        };
+
+        // Mine the missed inputs, in deterministic (input, schema) order.
+        let units: Vec<(usize, &str)> = step
+            .inputs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mined[*i].is_none())
+            .flat_map(|(i, df)| df.columns().iter().map(move |c| (i, c.name())))
+            .collect();
+        let payloads = try_par_map(ctx.mode(), &units, |&(i, attr)| -> Result<_> {
+            ctx.check_cancel()?;
+            let t = Instant::now();
+            let p = mine_attr_payloads(&step.inputs[i], &coded[i], i, attr, set_counts, seed)?;
+            Ok((p, t.elapsed()))
+        })?;
+        let mut payloads = payloads.into_iter();
+        for (i, slot) in mined.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
-            let family = match &p.kind {
-                PartitionKind::NumericBins => "bins",
-                _ => "values",
-            };
-            let key = (
-                p.input_idx,
-                p.defining_column().to_string(),
-                family,
-                p.n_sets(),
-            );
-            if seen.insert(key) {
-                partitions.push(p);
+            let t = Instant::now();
+            let (attrs, unit_times): (Vec<_>, Vec<Duration>) = payloads
+                .by_ref()
+                .take(step.inputs[i].columns().len())
+                .unzip();
+            let list = Arc::new(assemble_input_partitions(&attrs));
+            let frame_hit = format!("frame[{i}]");
+            let seen_before = scored
+                .cache_events
+                .iter()
+                .any(|(artifact, hit)| *hit && *artifact == frame_hit);
+            if let (Some(cache), Some(fps), true) = (cache, &fps, seen_before) {
+                let rebuild = t.elapsed() + unit_times.iter().sum::<Duration>();
+                cache.put_partitions(fps[i], set_counts, seed, list.clone(), rebuild);
+            }
+            *slot = Some(list);
+        }
+
+        let mut partitions: Vec<RowPartition> = Vec::new();
+        let mut seen: std::collections::HashSet<(usize, &str, &'static str, usize)> =
+            std::collections::HashSet::new();
+        for (i, list) in mined.iter().enumerate() {
+            for p in list.as_deref().expect("every input mined or cached").iter() {
+                if i == 0
+                    && (predicate_cols.contains(&p.attr.as_str())
+                        || predicate_cols.contains(&p.defining_column()))
+                {
+                    continue;
+                }
+                let family = match &p.kind {
+                    PartitionKind::NumericBins => "bins",
+                    _ => "values",
+                };
+                if seen.insert((i, p.defining_column(), family, p.n_sets())) {
+                    let mut p = p.clone();
+                    p.input_idx = i;
+                    partitions.push(p);
+                }
             }
         }
 
@@ -427,7 +473,11 @@ impl Stage for PartitionRows {
             }
             partitions.push(p.clone());
         }
-        Ok(Partitioned { scored, partitions })
+        Ok(Partitioned {
+            scored,
+            partitions,
+            cache_events,
+        })
     }
 }
 
@@ -515,7 +565,9 @@ impl Stage for Contribute<'_> {
     }
 
     fn run(&self, ctx: &PipelineContext<'_>, input: Partitioned) -> Result<Contributed> {
-        let Partitioned { scored, partitions } = input;
+        let Partitioned {
+            scored, partitions, ..
+        } = input;
         match &self.contributor {
             Contributor::Incremental => {
                 // Flattened (partition, column) units, partition-major so

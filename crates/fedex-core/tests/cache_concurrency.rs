@@ -7,11 +7,15 @@
 //! * LRU eviction keeps the estimated resident bytes within the budget
 //!   even while explains race registrations;
 //! * property test: a warm (cache-hit) explain equals a cold explain
-//!   bit-for-bit across operations, dtypes, and nasty float values.
+//!   bit-for-bit across operations, dtypes, and nasty float values —
+//!   including partition hits mined by another op, and relabelled to
+//!   another input.
 
 use std::sync::Arc;
 
-use fedex_core::{ArtifactCache, ExecutionMode, Explanation, Fedex, FedexConfig, SessionManager};
+use fedex_core::{
+    ArtifactCache, ExecutionMode, Explanation, Fedex, FedexConfig, SessionManager, StageReport,
+};
 use fedex_frame::{Column, DataFrame};
 use fedex_query::{ExploratoryStep, Expr, Operation};
 use proptest::prelude::*;
@@ -213,48 +217,119 @@ fn op_from(selector: u8) -> Operation {
     }
 }
 
+/// The hit flag of `artifact` in `stage`'s cache events, if reported.
+fn cache_event(trace: &[StageReport], stage: &str, artifact: &str) -> Option<bool> {
+    trace
+        .iter()
+        .find(|r| r.stage == stage)?
+        .artifacts
+        .iter()
+        .find(|(a, _)| a == artifact)
+        .map(|&(_, hit)| hit)
+}
+
+/// The `partitions[input]` event of PartitionRows, if the stage ran.
+fn partitions_hit(trace: &[StageReport], input: usize) -> Option<bool> {
+    cache_event(trace, "PartitionRows", &format!("partitions[{input}]"))
+}
+
+/// Whether this run inserted the partitions of `input`: PartitionRows
+/// missed them on an input whose coded frame was already cached.
+fn admitted(trace: &[StageReport], input: usize) -> bool {
+    partitions_hit(trace, input) == Some(false)
+        && cache_event(trace, "ScoreColumns", &format!("frame[{input}]")) == Some(true)
+}
+
+fn serial_config() -> FedexConfig {
+    FedexConfig {
+        execution: ExecutionMode::Serial,
+        ..Default::default()
+    }
+}
+
+/// The step of `op` over `df` (a union takes a prefix of `df` as its
+/// second arm); `None` for degenerate op/input combinations that fail to
+/// execute.
+fn step_over(df: &DataFrame, op: Operation) -> Option<ExploratoryStep> {
+    let inputs = if matches!(op, Operation::Union) {
+        vec![df.clone(), df.head(df.n_rows() / 2)]
+    } else {
+        vec![df.clone()]
+    };
+    ExploratoryStep::run(inputs, op).ok()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A cache-hit explain equals a cold explain bit-for-bit.
+    /// A cache-hit explain equals a cold explain bit-for-bit: a repeat of
+    /// the same step, a different op over a table whose partitions
+    /// another op mined, and that table as input 1 of a union (the cached
+    /// partitions are relabelled).
     #[test]
     fn warm_explain_equals_cold_explain(
         cells in proptest::collection::vec((any::<u8>(), any::<i32>()), 8..120),
         selector in any::<u8>(),
     ) {
         let df = df_from(&cells);
-        let op = op_from(selector);
-        let inputs = if matches!(op, Operation::Union) {
-            vec![df.clone(), df_from(&cells[..cells.len() / 2])]
-        } else {
-            vec![df]
+        let cold = |step: &ExploratoryStep| {
+            Fedex::with_config(serial_config()).explain(step).unwrap()
         };
-        // Skip degenerate op/input combinations that fail to execute.
-        if let Ok(step) = ExploratoryStep::run(inputs, op) {
-            // Cold: no cache at all.
-            let cold = Fedex::with_config(FedexConfig {
-                execution: ExecutionMode::Serial,
-                ..Default::default()
-            })
-            .explain(&step)
-            .unwrap();
+        let cache = Arc::new(ArtifactCache::default());
+        let fedex = Fedex::with_config(serial_config()).with_cache(cache.clone());
+        // Whether df's partitions are in the cache: every step below has
+        // df at input 0 until the union.
+        let mut cached = false;
 
-            // Warm: same step twice through one cache; compare the second.
-            let cache = Arc::new(ArtifactCache::default());
-            let fedex = Fedex::with_config(FedexConfig {
-                execution: ExecutionMode::Serial,
-                ..Default::default()
-            })
-            .with_cache(cache.clone());
-            let _prime = fedex.explain(&step).unwrap();
+        // Same step twice through one cache; compare the second.
+        if let Some(step) = step_over(&df, op_from(selector)) {
+            for _ in 0..2 {
+                let (_, trace) = fedex.explain_traced(&step).unwrap();
+                cached |= admitted(&trace, 0);
+            }
             let warm = fedex.explain(&step).unwrap();
-
-            prop_assert!(cache.metrics().hits > 0, "second run must hit");
+            prop_assert!(cache.metrics().hits > 0, "repeat runs must hit");
             prop_assert_eq!(
-                fingerprint_explanations(&cold),
+                fingerprint_explanations(&cold(&step)),
                 fingerprint_explanations(&warm),
                 "cache hit changed the explanation bytes"
             );
         }
+
+        // A different op over the same table looks up the partitions the
+        // first op's second run admitted.
+        if let Some(step) = step_over(&df, op_from(selector.wrapping_add(1))) {
+            let (warm, trace) = fedex.explain_traced(&step).unwrap();
+            if cached && partitions_hit(&trace, 0).is_some() {
+                prop_assert_eq!(partitions_hit(&trace, 0), Some(true), "{:?}", trace);
+            }
+            cached |= admitted(&trace, 0);
+            prop_assert_eq!(
+                fingerprint_explanations(&cold(&step)),
+                fingerprint_explanations(&warm),
+                "a partition hit changed the explanation bytes"
+            );
+        }
+
+        // A filter puts df at input 0; a union then takes it at input 1.
+        let filter = step_over(&df, op_from(0)).expect("filters always execute");
+        for _ in 0..2 {
+            let (_, trace) = fedex.explain_traced(&filter).unwrap();
+            cached |= admitted(&trace, 0);
+        }
+        let union = ExploratoryStep::run(
+            vec![df.head(df.n_rows() / 3), df.clone()],
+            Operation::Union,
+        )
+        .expect("same-schema union executes");
+        let (warm, trace) = fedex.explain_traced(&union).unwrap();
+        if cached && partitions_hit(&trace, 1).is_some() {
+            prop_assert_eq!(partitions_hit(&trace, 1), Some(true), "{:?}", trace);
+        }
+        prop_assert_eq!(
+            fingerprint_explanations(&cold(&union)),
+            fingerprint_explanations(&warm),
+            "relabelled cached partitions changed the explanation bytes"
+        );
     }
 }

@@ -216,7 +216,7 @@ fn reference_frequency_partition(
             size: c as usize,
         })
         .collect();
-    out.assignment = assignment;
+    out.assignment = assignment.into();
     out.ignore_size = ignore_size;
     Some(out)
 }
@@ -258,7 +258,7 @@ fn reference_numeric_partition(
     let ignore_size = assignment.iter().filter(|&&a| a == IGNORE).count();
     let mut out = numeric_partition(df, input_idx, attr, n).unwrap().unwrap();
     out.sets = sets;
-    out.assignment = assignment;
+    out.assignment = assignment.into();
     out.ignore_size = ignore_size;
     Some(out)
 }

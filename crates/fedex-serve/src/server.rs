@@ -5,6 +5,9 @@
 //! minimal HTTP/1.1 fallback answers `POST /api` (body = one request
 //! object), `GET /metrics`, and `GET /healthz`, so `curl` works against
 //! the same port — the first bytes of a connection decide the mode.
+//! Either way a request is capped at 64 MiB: a longer NDJSON line or
+//! HTTP body is answered with the typed `too_large` error and its
+//! connection closed, so no client can grow a read buffer without bound.
 //!
 //! Concurrency is **admission-scheduled** (see [`crate::sched`]): each
 //! accepted connection gets a lightweight I/O thread that reads lines,
@@ -281,8 +284,10 @@ fn serve_connection(
     let mut writer = peer;
 
     let mut first = Vec::new();
-    if read_line_shutdown_aware(&mut reader, &mut first, service)? == 0 {
-        return Ok(());
+    match read_line_shutdown_aware(&mut reader, &mut first, service)? {
+        LineRead::Line => {}
+        LineRead::Closed => return Ok(()),
+        LineRead::TooLarge => return answer_too_large(&mut writer),
     }
     let first = String::from_utf8_lossy(&first).into_owned();
     if let Some(request_line) = http_request_line(&first) {
@@ -361,8 +366,10 @@ fn serve_connection(
             return Err(e);
         }
         buf.clear();
-        if read_line_shutdown_aware(&mut reader, &mut buf, service)? == 0 {
-            return Ok(());
+        match read_line_shutdown_aware(&mut reader, &mut buf, service)? {
+            LineRead::Line => {}
+            LineRead::Closed => return Ok(()),
+            LineRead::TooLarge => return answer_too_large(&mut writer),
         }
         line = String::from_utf8_lossy(&buf).into_owned();
         if line.trim().is_empty() {
@@ -376,6 +383,39 @@ fn serve_connection(
 /// connection-thread population.
 const IDLE_KEEPALIVE: Duration = Duration::from_secs(120);
 
+/// Longest request the server reads: one NDJSON line (without its `\n`)
+/// or one HTTP body. Anything longer is answered with the typed
+/// `too_large` error and the connection is closed.
+const MAX_BODY: usize = 64 * 1024 * 1024;
+
+/// The typed error body for a request over [`MAX_BODY`].
+fn too_large(what: &str) -> String {
+    json::obj([
+        ("ok", Json::Bool(false)),
+        ("code", json::s("too_large")),
+        ("error", json::s(format!("{what} exceeds {MAX_BODY} bytes"))),
+    ])
+    .to_string()
+}
+
+/// Answer an over-long NDJSON line with `too_large`; the caller then
+/// closes the connection.
+fn answer_too_large(writer: &mut TcpStream) -> std::io::Result<()> {
+    writer.write_all(format!("{}\n", too_large("request line")).as_bytes())?;
+    writer.flush()
+}
+
+/// What [`read_line_shutdown_aware`] read.
+enum LineRead {
+    /// A line (or the bytes before EOF) is in the buffer.
+    Line,
+    /// EOF, shutdown during an idle wait, or idle keep-alive expiry.
+    Closed,
+    /// The line is longer than [`MAX_BODY`]. The buffer is cleared and
+    /// the rest of the line discarded.
+    TooLarge,
+}
+
 /// Read one `\n`-terminated line of raw bytes, treating a read timeout as
 /// "check the shutdown flag and keep waiting". This deliberately wraps
 /// `read_until` (bytes), not `read_line` (String): on the error path
@@ -383,17 +423,24 @@ const IDLE_KEEPALIVE: Duration = Duration::from_secs(120);
 /// losing bytes a slow client already sent whenever the timeout fires
 /// mid-line — while `read_until` keeps partial data in `buf`, so resuming
 /// is lossless. UTF-8 conversion happens once, after the full line
-/// arrived. Returns 0 on EOF, when shutdown interrupts an idle wait, or
-/// when the idle keep-alive expires.
+/// arrived. The buffer never grows past [`MAX_BODY`] + 1 bytes.
 fn read_line_shutdown_aware(
     reader: &mut BufReader<TcpStream>,
     buf: &mut Vec<u8>,
     service: &ExplainService,
-) -> std::io::Result<usize> {
+) -> std::io::Result<LineRead> {
     let idle_since = std::time::Instant::now();
     loop {
-        match reader.read_until(b'\n', buf) {
-            Ok(_) => return Ok(buf.len()),
+        // Room for MAX_BODY bytes plus the terminator.
+        let room = (MAX_BODY + 1).saturating_sub(buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
+            Ok(_) if buf.len() > MAX_BODY && buf.last() != Some(&b'\n') => {
+                buf.clear();
+                discard_line(reader, service)?;
+                return Ok(LineRead::TooLarge);
+            }
+            Ok(_) if buf.is_empty() => return Ok(LineRead::Closed),
+            Ok(_) => return Ok(LineRead::Line),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -401,12 +448,52 @@ fn read_line_shutdown_aware(
                 ) =>
             {
                 if service.shutdown_requested() || idle_since.elapsed() > IDLE_KEEPALIVE {
-                    return Ok(0);
+                    return Ok(LineRead::Closed);
                 }
             }
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Skip the rest of an over-long line, through its `\n`, without
+/// buffering it — at most another [`MAX_BODY`] bytes. Reading it before
+/// the `too_large` answer and close lets the peer see the answer: closing
+/// a socket with unread input resets the connection.
+fn discard_line(
+    reader: &mut BufReader<TcpStream>,
+    service: &ExplainService,
+) -> std::io::Result<()> {
+    let idle_since = std::time::Instant::now();
+    let mut left = MAX_BODY;
+    while left > 0 {
+        let chunk = match reader.fill_buf() {
+            Ok([]) => return Ok(()),
+            Ok(chunk) => chunk,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if service.shutdown_requested() || idle_since.elapsed() > IDLE_KEEPALIVE {
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) if i < left => (i + 1, true),
+            _ => (chunk.len().min(left), false),
+        };
+        reader.consume(used);
+        left -= used;
+        if done {
+            return Ok(());
+        }
+    }
+    Ok(())
 }
 
 /// `Some((method, path))` when the line is an HTTP/1.x request line.
@@ -459,19 +546,8 @@ fn serve_http(
     }
     // Reject over-limit bodies explicitly instead of reading a truncated
     // prefix (which would parse as garbage and reset the client mid-send).
-    const MAX_BODY: usize = 64 * 1024 * 1024;
     if content_length > MAX_BODY {
-        let payload = json::obj([
-            ("ok", Json::Bool(false)),
-            ("code", json::s("bad_request")),
-            (
-                "error",
-                json::s(format!(
-                    "request body {content_length} bytes exceeds {MAX_BODY}"
-                )),
-            ),
-        ])
-        .to_string();
+        let payload = too_large(&format!("request body of {content_length} bytes"));
         write!(
             writer,
             "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",

@@ -21,8 +21,9 @@
 //! (`invalid_json`, `bad_request`, `unknown_cmd`, `explain_failed`, and —
 //! from the admission scheduler — `overloaded`, `quota_exceeded`,
 //! `shutting_down`; see [`crate::sched`] and `docs/WIRE_PROTOCOL.md`). A
-//! malformed request never tears down the connection, let alone the
-//! server. Explain responses embed the per-stage timings and a cumulative
+//! malformed request never tears down the server; only a request over
+//! the transport's 64 MiB cap (`too_large`, answered by
+//! [`crate::server`]) closes its connection. Explain responses embed the per-stage timings and a cumulative
 //! artifact-cache snapshot so a client can observe that its warm request
 //! skipped the encode work.
 
@@ -235,7 +236,8 @@ fn trace_json(trace: &[StageReport]) -> Json {
                 ];
                 if !r.artifacts.is_empty() {
                     // Cache consultations of the stage: which artifacts
-                    // (input frames, kernel caches) were warm.
+                    // (input frames, kernel caches, mined partitions)
+                    // were warm.
                     fields.push((
                         "cache",
                         Json::Arr(

@@ -443,5 +443,18 @@ fn malformed_lines_do_not_kill_the_connection() {
     // The same connection still serves valid requests.
     let r = client.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+    // A line one byte over the 64 MiB request cap answers typed
+    // `too_large` and closes that connection; a fresh one still works.
+    let r = client
+        .request_raw(&"x".repeat(64 * 1024 * 1024 + 1))
+        .unwrap();
+    assert!(
+        r.contains(r#""code":"too_large""#),
+        "{}",
+        &r[..r.len().min(200)]
+    );
+    let mut fresh = Client::connect(&handle.addr().to_string()).unwrap();
+    let r = fresh.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
     handle.stop().unwrap();
 }

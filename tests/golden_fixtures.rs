@@ -14,10 +14,15 @@
 //! or a thread count; default serial) *against the same fixture* — CI
 //! runs the suite under 1, 2, and 4 threads to assert the pipeline's
 //! bit-identical-across-schedules contract end to end.
+//!
+//! Every mode renders the fixtures twice: cold, and through one shared
+//! artifact cache until every input's mined partitions come from it —
+//! both must reproduce the same bytes.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use fedex::core::{ExecutionMode, Fedex};
+use fedex::core::{ArtifactCache, ExecutionMode, Fedex};
 use fedex::data::{build_workbench, DatasetScale, Workbench};
 use fedex::prelude::Explanation;
 use fedex::query::{parse_query, ExploratoryStep, Operation};
@@ -73,9 +78,7 @@ fn golden_exec() -> ExecutionMode {
     }
 }
 
-fn all_golden_output() -> String {
-    let wb = workbench();
-    let fedex = Fedex::new().with_execution(golden_exec());
+fn all_golden_output(wb: &Workbench, fedex: &Fedex) -> String {
     let mut out = String::new();
 
     for (tag, sql) in [
@@ -96,7 +99,7 @@ fn all_golden_output() -> String {
             "SELECT * FROM products INNER JOIN sales ON products.item = sales.item;",
         ),
     ] {
-        let step = sql_step(&wb, sql);
+        let step = sql_step(wb, sql);
         let ex = fedex.explain(&step).unwrap();
         out.push_str(&render(tag, &ex));
     }
@@ -110,9 +113,26 @@ fn all_golden_output() -> String {
     out
 }
 
+/// Panic at the first line where `got` diverges from the fixture.
+fn assert_matches_fixture(got: &str, want: &str, pass: &str) {
+    if got != want {
+        // Show the first diverging line for a readable failure.
+        for (ln, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "{pass}: first divergence at fixture line {}", ln + 1);
+        }
+        assert_eq!(
+            got.lines().count(),
+            want.lines().count(),
+            "{pass}: explanation output diverges from the golden fixture in length"
+        );
+        panic!("{pass}: explanation output diverges from the golden fixture");
+    }
+}
+
 #[test]
 fn explanations_match_golden_fixture() {
-    let got = all_golden_output();
+    let wb = workbench();
+    let got = all_golden_output(&wb, &Fedex::new().with_execution(golden_exec()));
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all("tests/fixtures").unwrap();
         std::fs::write(FIXTURE, &got).unwrap();
@@ -120,16 +140,25 @@ fn explanations_match_golden_fixture() {
     }
     let want = std::fs::read_to_string(FIXTURE)
         .expect("fixture missing — run UPDATE_GOLDEN=1 cargo test --test golden_fixtures");
-    if got != want {
-        // Show the first diverging line for a readable failure.
-        for (ln, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(g, w, "first divergence at fixture line {}", ln + 1);
-        }
-        assert_eq!(
-            got.lines().count(),
-            want.lines().count(),
-            "explanation output diverges from the golden fixture in length"
+    assert_matches_fixture(&got, &want, "cold");
+
+    // Warm: mined partitions are admitted on an input's second sighting,
+    // so by the third pass every input's partitions are cache hits.
+    let cache = Arc::new(ArtifactCache::default());
+    let warm = Fedex::new()
+        .with_execution(golden_exec())
+        .with_cache(cache.clone());
+    for pass in 1..=3 {
+        let got = all_golden_output(&wb, &warm);
+        assert_matches_fixture(&got, &want, &format!("warm pass {pass}"));
+    }
+    let config = warm.config();
+    for table in [&wb.spotify, &wb.bank] {
+        assert!(
+            cache
+                .get_partitions(table.fingerprint(), &config.set_counts, config.seed)
+                .is_some(),
+            "the warm passes must have cached every input's partitions"
         );
-        panic!("explanation output diverges from the golden fixture");
     }
 }
