@@ -7,6 +7,7 @@
 //! [`CustomMeasure`] extension point, and the thin [`Fedex`] orchestrator
 //! that wires a [`crate::pipeline::ExplainPipeline`] per call.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use fedex_query::ExploratoryStep;
@@ -18,7 +19,7 @@ use crate::pipeline::{
     ExecutionMode, ExplainPipeline, PartitionRows, PipelineContext, ScoreColumns, Stage,
     StageReport,
 };
-use crate::viz::{json_number, json_string, Chart};
+use crate::viz::{write_json_number, write_json_string, Chart};
 use crate::Result;
 
 /// A user-defined interestingness measure (§3.8, "general interestingness
@@ -140,30 +141,55 @@ pub struct Explanation {
 impl Explanation {
     /// Render caption + chart as terminal text.
     pub fn render_text(&self, width: usize) -> String {
-        format!("{}\n\n{}", self.caption, self.chart.render_text(width))
+        let mut out = String::new();
+        self.write_text(&mut out, width);
+        out
+    }
+
+    /// Append [`Explanation::render_text`]'s output to `out`.
+    pub fn write_text(&self, out: &mut String, width: usize) {
+        out.push_str(&self.caption);
+        out.push_str("\n\n");
+        self.chart.write_text(out, width);
     }
 
     /// Serialize to a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"column\":{},\"measure\":{},\"interestingness\":{},\"set_label\":{},\
-             \"partition_attr\":{},\"partition_kind\":{},\"input_idx\":{},\
-             \"set_size\":{},\"contribution\":{},\"std_contribution\":{},\"score\":{},\
-             \"caption\":{},\"chart\":{}}}",
-            json_string(&self.column),
-            json_string(self.measure.name()),
-            json_number(self.interestingness),
-            json_string(&self.set_label),
-            json_string(&self.partition_attr),
-            json_string(&self.partition_kind.name()),
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`Explanation::to_json`]'s output to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"column\":");
+        write_json_string(out, &self.column);
+        out.push_str(",\"measure\":");
+        write_json_string(out, self.measure.name());
+        out.push_str(",\"interestingness\":");
+        write_json_number(out, self.interestingness);
+        out.push_str(",\"set_label\":");
+        write_json_string(out, &self.set_label);
+        out.push_str(",\"partition_attr\":");
+        write_json_string(out, &self.partition_attr);
+        out.push_str(",\"partition_kind\":");
+        write_json_string(out, &self.partition_kind.name());
+        let _ = write!(
+            out,
+            ",\"input_idx\":{},\"set_size\":{},\"contribution\":",
             self.input_idx,
-            self.set_rows.len(),
-            json_number(self.contribution),
-            json_number(self.std_contribution),
-            json_number(self.score),
-            json_string(&self.caption),
-            self.chart.to_json(),
-        )
+            self.set_rows.len()
+        );
+        write_json_number(out, self.contribution);
+        out.push_str(",\"std_contribution\":");
+        write_json_number(out, self.std_contribution);
+        out.push_str(",\"score\":");
+        write_json_number(out, self.score);
+        out.push_str(",\"caption\":");
+        write_json_string(out, &self.caption);
+        out.push_str(",\"chart\":");
+        self.chart.write_json(out);
+        out.push('}');
     }
 }
 
@@ -308,26 +334,24 @@ impl Fedex {
 pub fn render_all(explanations: &[Explanation], width: usize) -> String {
     let mut out = String::new();
     for (i, e) in explanations.iter().enumerate() {
-        out.push_str(&format!(
-            "── Explanation {} ──\n{}\n",
-            i + 1,
-            e.render_text(width)
-        ));
+        let _ = writeln!(out, "── Explanation {} ──", i + 1);
+        e.write_text(&mut out, width);
+        out.push('\n');
     }
     out
 }
 
 /// Serialize a list of explanations as a JSON array.
 pub fn to_json_array(explanations: &[Explanation]) -> String {
-    let mut s = String::from("[");
+    let mut out = String::from("[");
     for (i, e) in explanations.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        s.push_str(&e.to_json());
+        e.write_json(&mut out);
     }
-    s.push(']');
-    s
+    out.push(']');
+    out
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub use session::{Session, SessionEntry, SessionManager};
 // report this bound without a direct fedex-stats dependency.
 pub use fedex_stats::sampling::sampling_error_bound;
 pub use skyline::{skyline_indices, weighted_score, StreamingSkyline};
-pub use viz::{Bar, Chart, ChartKind};
+pub use viz::{write_json_number, write_json_string, Bar, Chart, ChartKind};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ExplainError>;

@@ -6,6 +6,12 @@
 //! Exceptionality explanations use a side-by-side before/after bar chart
 //! (Fig. 2a); diversity explanations use a bar chart of the aggregated
 //! value per set-of-rows with a mean line (Fig. 2b).
+//!
+//! Every renderer appends to a caller's buffer (`write_*`); the
+//! `String`-returning forms are one-buffer wrappers around them, so a
+//! serving layer can build a whole reply without intermediate strings.
+
+use std::fmt::Write as _;
 
 /// Chart flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +54,13 @@ pub struct Chart {
 impl Chart {
     /// Render as a Unicode horizontal bar chart, `width` cells wide.
     pub fn render_text(&self, width: usize) -> String {
+        let mut out = String::new();
+        self.write_text(&mut out, width);
+        out
+    }
+
+    /// Append [`Chart::render_text`]'s output to `out`.
+    pub fn write_text(&self, out: &mut String, width: usize) {
         let width = width.max(10);
         let label_w = self
             .bars
@@ -70,104 +83,128 @@ impl Chart {
             hi = lo + 1.0;
         }
         let span = hi - lo;
-        let cells = |v: f64| -> usize { (((v - lo) / span) * width as f64).round() as usize };
+        // A bar of `v` as `|cells  |`: `width` cells between the rules.
+        let bar = |out: &mut String, cell: char, v: f64| {
+            let n = (((v - lo) / span) * width as f64).round() as usize;
+            out.push('|');
+            out.extend(std::iter::repeat_n(cell, n));
+            out.extend(std::iter::repeat_n(' ', width.saturating_sub(n)));
+            out.push('|');
+        };
 
-        let mut out = String::new();
-        out.push_str(&format!("{} by {}\n", self.y_label, self.x_label));
+        let _ = writeln!(out, "{} by {}", self.y_label, self.x_label);
         for b in &self.bars {
             let mark = if b.highlighted { '▶' } else { ' ' };
             match self.kind {
                 ChartKind::BeforeAfterBars => {
                     let after = b.after.unwrap_or(0.0);
-                    out.push_str(&format!(
-                        "{mark}{:label_w$} before |{:<width$}| {:.1}%\n",
-                        b.label,
-                        "█".repeat(cells(b.value)),
-                        b.value,
-                    ));
-                    out.push_str(&format!(
-                        " {:label_w$} after  |{:<width$}| {:.1}%\n",
-                        "",
-                        "▓".repeat(cells(after)),
-                        after,
-                    ));
+                    let _ = write!(out, "{mark}{:label_w$} before ", b.label);
+                    bar(out, '█', b.value);
+                    let _ = writeln!(out, " {:.1}%", b.value);
+                    let _ = write!(out, " {:label_w$} after  ", "");
+                    bar(out, '▓', after);
+                    let _ = writeln!(out, " {after:.1}%");
                 }
                 ChartKind::ValueBars => {
-                    out.push_str(&format!(
-                        "{mark}{:label_w$} |{:<width$}| {:.3}\n",
-                        b.label,
-                        "█".repeat(cells(b.value)),
-                        b.value,
-                    ));
+                    let _ = write!(out, "{mark}{:label_w$} ", b.label);
+                    bar(out, '█', b.value);
+                    let _ = writeln!(out, " {:.3}", b.value);
                 }
             }
         }
         if let Some(m) = self.mean_line {
-            out.push_str(&format!(" {:label_w$} mean = {:.3}\n", "", m));
+            let _ = writeln!(out, " {:label_w$} mean = {:.3}", "", m);
         }
+    }
+
+    /// Serialize the chart to a JSON object.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
         out
     }
 
-    /// Serialize the chart to a JSON object (hand-rolled emitter — the
-    /// explanation payload is small and flat).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"kind\":\"{}\",",
-            match self.kind {
-                ChartKind::BeforeAfterBars => "before_after_bars",
-                ChartKind::ValueBars => "value_bars",
-            }
-        ));
-        s.push_str(&format!("\"x_label\":{},", json_string(&self.x_label)));
-        s.push_str(&format!("\"y_label\":{},", json_string(&self.y_label)));
-        match self.mean_line {
-            Some(m) => s.push_str(&format!("\"mean_line\":{},", json_number(m))),
-            None => s.push_str("\"mean_line\":null,"),
-        }
-        s.push_str("\"bars\":[");
+    /// Append [`Chart::to_json`]'s output to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str(match self.kind {
+            ChartKind::BeforeAfterBars => "{\"kind\":\"before_after_bars\",\"x_label\":",
+            ChartKind::ValueBars => "{\"kind\":\"value_bars\",\"x_label\":",
+        });
+        write_json_string(out, &self.x_label);
+        out.push_str(",\"y_label\":");
+        write_json_string(out, &self.y_label);
+        out.push_str(",\"mean_line\":");
+        write_json_number(out, self.mean_line.unwrap_or(f64::NAN));
+        out.push_str(",\"bars\":[");
         for (i, b) in self.bars.iter().enumerate() {
             if i > 0 {
-                s.push(',');
+                out.push(',');
             }
-            s.push_str(&format!(
-                "{{\"label\":{},\"value\":{},\"after\":{},\"highlighted\":{}}}",
-                json_string(&b.label),
-                json_number(b.value),
-                b.after.map_or("null".to_string(), json_number),
-                b.highlighted,
-            ));
+            out.push_str("{\"label\":");
+            write_json_string(out, &b.label);
+            out.push_str(",\"value\":");
+            write_json_number(out, b.value);
+            out.push_str(",\"after\":");
+            write_json_number(out, b.after.unwrap_or(f64::NAN));
+            out.push_str(if b.highlighted {
+                ",\"highlighted\":true}"
+            } else {
+                ",\"highlighted\":false}"
+            });
         }
-        s.push_str("]}");
-        s
+        out.push_str("]}");
     }
 }
 
-/// Escape a string for JSON.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal.
+///
+/// Escapes `"`, `\\`, and the control characters below U+0020 (`\n`,
+/// `\r`, `\t` by name, the rest as `\u00xx`); everything else, non-ASCII
+/// included, is copied as is, one `push_str` per unescaped run. The
+/// wire layer's `Json` writes through it too, so a reply's strings read
+/// the same whichever side serialized them.
+pub fn write_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
-/// Format a float as a JSON number (finite; NaN/inf become null).
-pub fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
+/// Append `x` to `out` as a JSON number in the canonical form.
+///
+/// Non-finite values become `null` (JSON has no NaN or infinity);
+/// integral values below 9e15 in magnitude print as integers, so `-0.0`
+/// is `0`; everything else uses Rust's shortest round-trip `{}` form.
+/// Parsing the output and writing it again gives the same bytes.
+pub fn write_json_number(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
+        let _ = write!(out, "{}", x as i64);
     } else {
-        "null".to_string()
+        let _ = write!(out, "{x}");
     }
 }
 
@@ -234,16 +271,68 @@ mod tests {
         assert!(j.contains("\"after\":61"));
     }
 
+    fn number(x: f64) -> String {
+        let mut out = String::new();
+        write_json_number(&mut out, x);
+        out
+    }
+
+    fn string(s: &str) -> String {
+        let mut out = String::new();
+        write_json_string(&mut out, s);
+        out
+    }
+
     #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
+    fn json_numbers_are_canonical() {
+        assert_eq!(number(-0.0), "0");
+        assert_eq!(number(3.0), "3");
+        assert_eq!(number(-42.0), "-42");
+        assert_eq!(number(1e16), "10000000000000000");
+        assert_eq!(number(0.1), "0.1");
+        assert_eq!(number(1.5), "1.5");
     }
 
     #[test]
     fn json_number_handles_nonfinite() {
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(1.5), "1.5");
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::INFINITY), "null");
+        assert_eq!(number(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn json_string_escapes() {
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("plain"), "\"plain\"");
+        assert_eq!(
+            string("\r\t\u{1}\u{1f}\u{7f}"),
+            "\"\\r\\t\\u0001\\u001f\u{7f}\""
+        );
+        assert_eq!(string("décennie ▶ 😀"), "\"décennie ▶ 😀\"");
+        // Every ASCII byte: controls escape, the rest copy through.
+        for b in 0u8..=0x7f {
+            let c = char::from(b);
+            let got = string(&format!("x{c}y"));
+            let want = match c {
+                '"' => "\\\"".to_string(),
+                '\\' => "\\\\".to_string(),
+                '\n' => "\\n".to_string(),
+                '\r' => "\\r".to_string(),
+                '\t' => "\\t".to_string(),
+                c if b < 0x20 => format!("\\u{:04x}", c as u32),
+                c => c.to_string(),
+            };
+            assert_eq!(got, format!("\"x{want}y\""), "byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn writers_append_what_wrappers_return() {
+        let c = chart();
+        let mut out = String::from("prefix");
+        c.write_json(&mut out);
+        c.write_text(&mut out, 30);
+        assert_eq!(out, format!("prefix{}{}", c.to_json(), c.render_text(30)));
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! strings with escapes incl. `\uXXXX` surrogate pairs, numbers, literals)
 //! and a compact writer. Objects preserve insertion order (a `Vec` of
 //! pairs), which keeps responses byte-stable across runs.
+//!
+//! Strings and numbers are written by `fedex-core`'s
+//! [`write_json_string`] / [`write_json_number`], the same writers that
+//! serialize explanations, so a [`Json::Raw`] splice of core output reads
+//! exactly as if it had been parsed and rewritten here.
 
-use std::fmt::Write as _;
+use fedex_core::{write_json_number, write_json_string};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +29,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, insertion-ordered.
     Obj(Vec<(String, Json)>),
+    /// Pre-serialized JSON, written verbatim. [`parse`] never produces
+    /// it; the writer trusts it to be one valid value in the canonical
+    /// form (e.g. `fedex_core::to_json_array` output), so a reply can
+    /// embed it without a parse-back.
+    Raw(String),
 }
 
 impl Json {
@@ -73,12 +83,21 @@ impl Json {
         }
     }
 
+    /// Compact serialization as a new string: the wire form of a reply,
+    /// built in one buffer.
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
+            Json::Num(n) => write_json_number(out, *n),
+            Json::Str(s) => write_json_string(out, s),
+            Json::Raw(raw) => out.push_str(raw),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -95,7 +114,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -106,11 +125,10 @@ impl Json {
 }
 
 /// Compact serialization (`value.to_string()` via the blanket impl).
+/// Reply paths use [`Json::encode`], which skips the formatter's copy.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        f.write_str(&self.encode())
     }
 }
 
@@ -127,35 +145,6 @@ pub fn s(v: impl Into<String>) -> Json {
 /// `Json::Num` from anything numeric.
 pub fn n(v: impl Into<f64>) -> Json {
     Json::Num(v.into())
-}
-
-fn write_number(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        // JSON has no NaN/Inf; null is the conventional degradation.
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
-        let _ = write!(out, "{}", x as i64);
-    } else {
-        let _ = write!(out, "{x}");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure with byte offset context.
@@ -484,6 +473,50 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(3.0).to_string(), "3");
         assert_eq!(Json::Num(3.25).to_string(), "3.25");
+    }
+
+    /// The core writers' output survives a parse and rewrite byte for
+    /// byte, which is what lets a reply splice it in as [`Json::Raw`].
+    #[test]
+    fn core_writer_output_is_canonical() {
+        let mut outputs = Vec::new();
+        for x in [
+            -0.0,
+            3.0,
+            -3.0,
+            1e16,
+            -1e16,
+            8.999_999_999_999_999e15,
+            0.1,
+            -2.5e-8,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut out = String::new();
+            write_json_number(&mut out, x);
+            outputs.push(out);
+        }
+        let ascii: String = (0u8..=0x7f).map(char::from).collect();
+        for text in [ascii.as_str(), "2010s ▶ décennie 😀", ""] {
+            let mut out = String::new();
+            write_json_string(&mut out, text);
+            assert_eq!(parse(&out).unwrap(), Json::Str(text.to_string()));
+            outputs.push(out);
+        }
+        for out in &outputs {
+            assert_eq!(&parse(out).unwrap().to_string(), out);
+        }
+        assert_eq!(outputs[0], "0", "-0.0 writes as 0");
+    }
+
+    #[test]
+    fn raw_is_written_verbatim() {
+        let v = obj([("a", Json::Raw("[1,{\"b\":null}]".into())), ("c", n(2.0))]);
+        assert_eq!(v.encode(), r#"{"a":[1,{"b":null}],"c":2}"#);
+        assert_eq!(v.to_string(), v.encode());
     }
 
     #[test]

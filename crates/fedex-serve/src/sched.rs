@@ -814,7 +814,7 @@ impl Scheduler {
                 }
                 let t0 = Instant::now();
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    self.service.dispatch_job(&job.req, &jctx).to_string()
+                    self.service.dispatch_job(&job.req, &jctx).encode()
                 }));
                 let served = t0.elapsed();
                 if let Some(obs) = self.service.obs() {

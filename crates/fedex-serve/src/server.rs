@@ -322,7 +322,6 @@ fn serve_connection(
     // NDJSON: the first line is already a request; keep reading lines.
     let mut line = first;
     let mut buf = Vec::new();
-    let mut out = Vec::new();
     loop {
         let trimmed = line.trim_end_matches(['\r', '\n']);
         // Health probes answer from the connection thread itself, like
@@ -334,9 +333,9 @@ fn serve_connection(
         } else {
             scheduler.handle_line_hooked(trimmed, Some(&is_alive))
         };
-        // One write per response (see `Client::request_raw`).
-        out.clear();
-        out.extend_from_slice(response.as_bytes());
+        // One write per response (see `Client::request_raw`), straight
+        // from the reply's own buffer.
+        let mut out = response.into_bytes();
         out.push(b'\n');
         // Injected write faults (chaos runs only): abandon or tear the
         // response — the client sees a disconnect mid-response, the

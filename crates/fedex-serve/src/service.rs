@@ -45,6 +45,12 @@ use crate::sched::SchedMetrics;
 /// recommended interestingness sample (§3.7).
 pub const DEGRADE_SAMPLE_SIZE: usize = 5_000;
 
+/// Widest chart an `explain` may ask for. The rendered text grows with
+/// `width` times the number of bars, so an unbounded `width` lets one
+/// request allocate until the process aborts — a failure no
+/// `catch_unwind` can turn into a typed response.
+pub const MAX_WIDTH: usize = 1_000;
+
 /// Wire-visible server counters.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
@@ -530,7 +536,7 @@ impl ExplainService {
                 err("invalid_json", format!("invalid JSON: {e}"))
             }
         };
-        response.to_string()
+        response.encode()
     }
 
     fn dispatch_inner(&self, req: &Json, job: &JobContext) -> Json {
@@ -677,7 +683,16 @@ impl ExplainService {
             return err("bad_request", "explain needs a string 'sql'");
         };
         let save_as = req.get("save_as").and_then(Json::as_str);
-        let width = req.get("width").and_then(Json::as_usize).unwrap_or(44);
+        let width = match req.get("width").map(Json::as_usize) {
+            None => 44,
+            Some(Some(w)) if w <= MAX_WIDTH => w,
+            Some(_) => {
+                return err(
+                    "bad_request",
+                    format!("'width' must be an integer in 0..={MAX_WIDTH}"),
+                )
+            }
+        };
         let top = req.get("top").and_then(Json::as_usize);
         let want_trace = req.get("trace").and_then(Json::as_bool).unwrap_or(false);
         self.metrics.explains.fetch_add(1, Ordering::Relaxed);
@@ -741,8 +756,9 @@ impl ExplainService {
                     Some(k) => &entry.explanations[..k.min(entry.explanations.len())],
                     None => &entry.explanations[..],
                 };
-                let explanations = json::parse(&to_json_array(shown))
-                    .expect("explanation serialization is valid JSON");
+                // Spliced verbatim: the core writers emit the same
+                // canonical form `Json` would, so no parse-back is needed.
+                let explanations = Json::Raw(to_json_array(shown));
                 let rendered = fedex_core::render_all(shown, width);
                 let encode_micros = trace
                     .iter()
@@ -1187,7 +1203,9 @@ mod tests {
             r#"{"cmd":"explain","session":"s1","sql":"SELECT * FROM songs WHERE popularity > 65"}"#,
         )
         .unwrap();
-        let r = svc.dispatch(&req);
+        // `explanations` is pre-serialized in the reply; read it as a
+        // client would, from the wire form.
+        let r = json::parse(&svc.dispatch(&req).encode()).unwrap();
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
         assert_eq!(r.get("n_rows_out").and_then(Json::as_f64), Some(4.0));
         assert!(!r.get("explanations").unwrap().as_arr().unwrap().is_empty());
@@ -1271,6 +1289,36 @@ mod tests {
         ] {
             let r = svc.dispatch(&json::parse(bad).unwrap());
             assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{bad}");
+        }
+    }
+
+    #[test]
+    fn width_is_bounded() {
+        let svc = ExplainService::default();
+        svc.dispatch(&register_req());
+        let explain = |width: &str| {
+            svc.dispatch(
+                &json::parse(&format!(
+                    r#"{{"cmd":"explain","session":"s1","sql":"SELECT * FROM songs WHERE popularity > 65","width":{width}}}"#
+                ))
+                .unwrap(),
+            )
+        };
+        let r = explain(&MAX_WIDTH.to_string());
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+        for bad in [
+            (MAX_WIDTH + 1).to_string(),
+            "100000000000".into(),
+            "1e300".into(),
+            "-1".into(),
+            "\"wide\"".into(),
+        ] {
+            let r = explain(&bad);
+            assert_eq!(
+                r.get("code").and_then(Json::as_str),
+                Some("bad_request"),
+                "width {bad}"
+            );
         }
     }
 

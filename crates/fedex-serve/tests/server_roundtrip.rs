@@ -6,7 +6,7 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use fedex_core::{render_all, ExecutionMode, Fedex, Session};
+use fedex_core::{render_all, to_json_array, ExecutionMode, Fedex, Session};
 use fedex_serve::{json, Client, ExplainService, Json, Server, ServerConfig};
 
 const ROWS: usize = 4_000;
@@ -36,12 +36,16 @@ fn req(text: &str) -> Json {
     json::parse(text).unwrap()
 }
 
-/// What the serial, in-process CLI path renders for the same step.
-fn serial_reference() -> String {
+/// What the serial, in-process CLI path renders and serializes for the
+/// same step: `(render_all, to_json_array)`.
+fn serial_reference() -> (String, String) {
     let mut session = Session::new(Fedex::new().with_execution(ExecutionMode::Serial));
     session.register("spotify", fedex_data::spotify::generate(ROWS, SEED as u64));
     let entry = session.run(SQL).unwrap();
-    render_all(&entry.explanations, 44)
+    (
+        render_all(&entry.explanations, 44),
+        to_json_array(&entry.explanations),
+    )
 }
 
 #[test]
@@ -59,10 +63,22 @@ fn register_explain_roundtrip_and_warm_cache() {
     let explain = req(&format!(
         r#"{{"cmd":"explain","session":"s","sql":"{SQL}"}}"#
     ));
-    let cold = client.request(&explain).unwrap();
+    let cold_line = client.request_raw(&explain.to_string()).unwrap();
+    let cold = json::parse(&cold_line).unwrap();
     assert_eq!(cold.get("ok"), Some(&Json::Bool(true)), "{cold:?}");
+    let (want_rendered, want_json) = serial_reference();
     let rendered = cold.get("rendered").and_then(Json::as_str).unwrap();
-    assert_eq!(rendered, serial_reference(), "wire == serial CLI path");
+    assert_eq!(rendered, want_rendered, "wire == serial CLI path");
+    // The wire `explanations` bytes are the library's `to_json_array`
+    // bytes: the reply writes `explanations` then `rendered`, and the
+    // JSON escapes every quote inside strings, so the slice is exact.
+    let start = cold_line.find("\"explanations\":").unwrap() + "\"explanations\":".len();
+    let len = cold_line[start..].find(",\"rendered\":").unwrap();
+    assert_eq!(
+        &cold_line[start..start + len],
+        want_json,
+        "wire explanations == library to_json_array"
+    );
 
     // Warm request: the artifact cache reports hits and encode collapses.
     let warm = client.request(&explain).unwrap();
@@ -117,7 +133,7 @@ fn concurrent_clients_get_byte_identical_explanations() {
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
     }
 
-    let reference = serial_reference();
+    let (reference, _) = serial_reference();
     let rendered: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = ["a", "b", "c", "d"]
             .into_iter()
@@ -441,6 +457,22 @@ fn malformed_lines_do_not_kill_the_connection() {
         "{r:?}"
     );
     // The same connection still serves valid requests.
+    let r = client.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+    // A chart width past the wire bound answers typed instead of asking
+    // the renderer for an allocation that aborts the process.
+    let r = client
+        .request(&req(
+            r#"{"cmd":"register_demo","session":"wide","rows":2000,"seed":3}"#,
+        ))
+        .unwrap();
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    let r = client
+        .request_raw(&format!(
+            r#"{{"cmd":"explain","session":"wide","sql":"{SQL}","width":100000000000}}"#
+        ))
+        .unwrap();
+    assert!(r.contains(r#""code":"bad_request""#), "{r}");
     let r = client.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
     // A line one byte over the 64 MiB request cap answers typed

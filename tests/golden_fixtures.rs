@@ -3,9 +3,10 @@
 //! These tests pin the *byte-identical* output of the explanation engine:
 //! every explanation field that feeds presentation — including the raw
 //! `f64` bit patterns of the scores — is serialized to a stable text form
-//! and compared against a fixture committed to the repository. Any kernel
-//! refactor (e.g. the code-based histogram layer) must leave these bytes
-//! unchanged.
+//! and compared against a fixture committed to the repository, together
+//! with digests of each explanation's JSON and chart text. Any kernel or
+//! writer refactor (e.g. the code-based histogram layer) must leave these
+//! bytes unchanged.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_fixtures`
 //! after an *intentional* output change, and review the diff.
@@ -44,7 +45,8 @@ fn sql_step(wb: &Workbench, sql: &str) -> ExploratoryStep {
     parse_query(sql).unwrap().to_step(&wb.catalog).unwrap()
 }
 
-/// Serialize explanations with exact float bits; one block per explanation.
+/// Serialize explanations with exact float bits, plus digests of their
+/// JSON and 44-wide text rendering; one block per explanation.
 fn render(tag: &str, explanations: &[Explanation]) -> String {
     let mut out = String::new();
     writeln!(out, "== {tag} ({} explanations)", explanations.len()).unwrap();
@@ -64,8 +66,18 @@ fn render(tag: &str, explanations: &[Explanation]) -> String {
         writeln!(out, "   std=0x{:016x}", e.std_contribution.to_bits()).unwrap();
         writeln!(out, "   score=0x{:016x}", e.score.to_bits()).unwrap();
         writeln!(out, "   caption={}", e.caption).unwrap();
+        writeln!(out, "   json=0x{:016x}", fnv1a(&e.to_json())).unwrap();
+        writeln!(out, "   text=0x{:016x}", fnv1a(&e.render_text(44))).unwrap();
     }
     out
+}
+
+/// 64-bit FNV-1a digest: pins the JSON and chart text byte for byte
+/// without committing them to the fixture.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Execution mode under test: `FEDEX_GOLDEN_EXEC`, defaulting to serial.
