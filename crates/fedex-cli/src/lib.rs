@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use fedex_core::{render_all, to_json_array, ExecutionMode, Fedex, FedexConfig};
+use fedex_core::{render_all, to_json_array, ExecutionMode, Fedex, FedexConfig, MAX_WIDTH};
 use fedex_frame::read_csv;
 use fedex_query::{parse_query, Catalog};
 
@@ -350,6 +350,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         width = flag_value(args, i, "--width")?
                             .parse::<usize>()
                             .map_err(|e| CliError(format!("--width: {e}")))?;
+                        if width > MAX_WIDTH {
+                            return Err(CliError(format!(
+                                "--width must be at most {MAX_WIDTH}, got {width}"
+                            )));
+                        }
                     }
                     other => return Err(CliError(format!("unknown flag {other:?}"))),
                 }
@@ -647,6 +652,26 @@ mod tests {
                 assert!(trace);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn width_is_bounded() {
+        let explain = |width: String| {
+            parse_args(&s(&[
+                "explain",
+                "--table",
+                "t=t.csv",
+                "--sql",
+                "SELECT * FROM t WHERE a > 150",
+                "--width",
+                &width,
+            ]))
+        };
+        assert!(explain(MAX_WIDTH.to_string()).is_ok());
+        for bad in [(MAX_WIDTH + 1).to_string(), "100000000000".to_string()] {
+            let e = explain(bad.clone()).expect_err(&bad);
+            assert!(e.0.contains("--width"), "{e}");
         }
     }
 

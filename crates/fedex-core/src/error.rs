@@ -21,6 +21,15 @@ pub enum ExplainError {
     DeadlineExceeded,
     /// The run was cancelled — every waiter abandoned it.
     Cancelled,
+    /// A register or `save_as` would by itself take its session past the
+    /// server-wide budget ([`crate::session::SESSION_BUDGET`]); the
+    /// session is left unchanged.
+    SessionFull {
+        /// Bytes the session would retain after the change.
+        needed: usize,
+        /// The budget it would exceed.
+        budget: usize,
+    },
 }
 
 impl fmt::Display for ExplainError {
@@ -32,6 +41,10 @@ impl fmt::Display for ExplainError {
             ExplainError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             ExplainError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ExplainError::Cancelled => write!(f, "cancelled"),
+            ExplainError::SessionFull { needed, budget } => write!(
+                f,
+                "session would retain {needed} bytes, over the {budget}-byte session budget"
+            ),
         }
     }
 }

@@ -139,6 +139,18 @@ pub struct Explanation {
 }
 
 impl Explanation {
+    /// Approximate size in bytes: the struct, its strings, its rows of
+    /// `R` and its chart.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.column.len()
+            + self.set_label.len()
+            + self.partition_attr.len()
+            + std::mem::size_of_val(self.set_rows.as_slice())
+            + self.caption.len()
+            + self.chart.approx_bytes()
+    }
+
     /// Render caption + chart as terminal text.
     pub fn render_text(&self, width: usize) -> String {
         let mut out = String::new();

@@ -59,12 +59,14 @@ pub use partition::{
     numeric_partition_coded, PartitionKind, RowPartition, RowSetIndex, SetMeta, IGNORE,
 };
 pub use pipeline::{ExecutionMode, ExplainPipeline, PipelineContext, Stage, StageReport};
-pub use session::{Session, SessionEntry, SessionManager};
+pub use session::{
+    Session, SessionEntry, SessionManager, SessionStats, StepSummary, SESSION_BUDGET,
+};
 // Re-exported for the serving layer: degraded (FEDEX-Sampling) responses
 // report this bound without a direct fedex-stats dependency.
 pub use fedex_stats::sampling::sampling_error_bound;
 pub use skyline::{skyline_indices, weighted_score, StreamingSkyline};
-pub use viz::{write_json_number, write_json_string, Bar, Chart, ChartKind};
+pub use viz::{write_json_number, write_json_string, Bar, Chart, ChartKind, MAX_WIDTH};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ExplainError>;

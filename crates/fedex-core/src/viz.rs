@@ -13,6 +13,12 @@
 
 use std::fmt::Write as _;
 
+/// Widest chart a caller may ask to render. The text grows with `width`
+/// times the number of bars, so an unbounded width lets one request
+/// allocate until the process aborts; the CLI and the server both refuse
+/// anything wider.
+pub const MAX_WIDTH: usize = 1_000;
+
 /// Chart flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChartKind {
@@ -52,6 +58,17 @@ pub struct Chart {
 }
 
 impl Chart {
+    /// Approximate heap size in bytes: labels and bars.
+    pub fn approx_bytes(&self) -> usize {
+        self.x_label.len()
+            + self.y_label.len()
+            + self
+                .bars
+                .iter()
+                .map(|b| std::mem::size_of::<Bar>() + b.label.len())
+                .sum::<usize>()
+    }
+
     /// Render as a Unicode horizontal bar chart, `width` cells wide.
     pub fn render_text(&self, width: usize) -> String {
         let mut out = String::new();

@@ -62,7 +62,8 @@ fn concurrent_sessions_match_uncached_serial_run() {
 
     let mgr = Arc::new(SessionManager::default());
     for t in 0..THREADS {
-        mgr.register(&format!("s{t}"), "spotify", table.clone());
+        mgr.register(&format!("s{t}"), "spotify", table.clone())
+            .unwrap();
     }
     let results: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -108,7 +109,8 @@ fn eviction_respects_budget_under_concurrent_explains() {
             scope.spawn(move || {
                 let session = format!("s{t}");
                 // Distinct seeds → distinct contents → distinct entries.
-                mgr.register(&session, "spotify", spotify(2_000, 100 + t));
+                mgr.register(&session, "spotify", spotify(2_000, 100 + t))
+                    .unwrap();
                 for _ in 0..2 {
                     mgr.run(
                         &session,
@@ -147,7 +149,7 @@ fn cost_aware_eviction_keeps_hot_expensive_artifacts_resident() {
         cache.clone(),
     );
     let sql = "SELECT * FROM spotify WHERE popularity > 65";
-    mgr.register("big", "spotify", big.clone());
+    mgr.register("big", "spotify", big.clone()).unwrap();
     let cold = fingerprint_explanations(&mgr.run("big", sql, None).unwrap().explanations);
 
     // Churn small one-off sessions until the budget forces evictions,
@@ -156,7 +158,8 @@ fn cost_aware_eviction_keeps_hot_expensive_artifacts_resident() {
     let mut rounds_after_pressure = 0;
     for t in 0..40u64 {
         let session = format!("oneoff{t}");
-        mgr.register(&session, "spotify", spotify(2_000, 500 + t));
+        mgr.register(&session, "spotify", spotify(2_000, 500 + t))
+            .unwrap();
         mgr.run(&session, sql, None).unwrap();
         let warm = fingerprint_explanations(&mgr.run("big", sql, None).unwrap().explanations);
         assert_eq!(warm, cold, "eviction pressure must never change results");

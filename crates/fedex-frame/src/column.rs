@@ -108,6 +108,19 @@ impl StrColumn {
         }
     }
 
+    /// Approximate heap size in bytes: the codes, plus each dictionary
+    /// entry's string, its `Arc` header and its dictionary and index
+    /// slots. A dictionary shared with the column this one was taken from
+    /// is charged to both, so the estimate errs high.
+    pub fn approx_bytes(&self) -> usize {
+        const ENTRY: usize = 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Arc<str>>()
+            + std::mem::size_of::<(Arc<str>, u32)>()
+            + 1;
+        self.codes.len() * std::mem::size_of::<u32>()
+            + self.dict.iter().map(|s| s.len() + ENTRY).sum::<usize>()
+    }
+
     /// Iterator over rows as `Option<&str>`.
     pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
         self.codes.iter().map(move |&c| {
@@ -157,6 +170,16 @@ impl ColumnData {
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Approximate heap size of the payload in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            ColumnData::Bool(v) => std::mem::size_of_val(v.as_slice()),
+            ColumnData::Int(v) => std::mem::size_of_val(v.as_slice()),
+            ColumnData::Float(v) => std::mem::size_of_val(v.as_slice()),
+            ColumnData::Str(v) => v.approx_bytes(),
+        }
     }
 
     /// The logical type of this payload.

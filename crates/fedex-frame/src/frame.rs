@@ -132,6 +132,17 @@ impl DataFrame {
             .get_or_init(|| crate::fingerprint::fingerprint_frame(self))
     }
 
+    /// Approximate heap size in bytes: every column's name and payload
+    /// (see [`crate::StrColumn::approx_bytes`] for string columns). Linear
+    /// in the columns and string dictionaries, never in numeric rows, so
+    /// byte-budgeted holders can price a table as they accept it.
+    pub fn approx_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .map(|c| c.name().len() + c.data().approx_bytes())
+            .sum()
+    }
+
     /// Cell at (`row`, `column name`).
     pub fn get(&self, row: usize, name: &str) -> Result<Value> {
         let col = self.column(name)?;

@@ -334,12 +334,14 @@ struct SchedInner {
     /// with that signature; arrivals matching a key attach instead of
     /// enqueueing.
     inflight: HashMap<String, Arc<JobState>>,
-    /// Per-session catalog generation, bumped whenever a
-    /// catalog-mutating request (`register`, `register_demo`, `explain`
-    /// with `save_as`) is admitted. Folded into explain signatures so a
+    /// Catalog generation, bumped whenever a catalog-mutating request
+    /// (`register`, `register_demo`, `explain` with `save_as`) is
+    /// admitted, in any session. Folded into explain signatures so a
     /// request submitted *after* a re-register can never attach to an
-    /// in-flight job that read the previous table contents.
-    generation: HashMap<String, u64>,
+    /// in-flight job that read the previous table contents, and a
+    /// session evicted and then created again never reuses an old
+    /// signature.
+    generation: u64,
 }
 
 /// The admission scheduler: bounded priority queues between connection
@@ -453,13 +455,13 @@ impl Scheduler {
                 trace_id,
             ));
         }
-        // Catalog-mutating commands start a new coalescing generation for
-        // the session: explains submitted after this point must never
-        // share a pipeline run with explains over the previous contents.
+        // Catalog-mutating commands start a new coalescing generation:
+        // explains submitted after this point must never share a pipeline
+        // run with explains over the previous contents.
         if matches!(cmd, "register" | "register_demo")
             || (cmd == "explain" && req.get("save_as").is_some())
         {
-            *inner.generation.entry(session.clone()).or_insert(0) += 1;
+            inner.generation += 1;
         }
         // The degrade decision precedes the signature: a degraded explain
         // renders different output, so it must never coalesce with a full
@@ -481,10 +483,8 @@ impl Scheduler {
                     pressure || too_tight
                 }
             };
-        let signature = (cmd == "explain").then(|| {
-            let generation = inner.generation.get(&session).copied().unwrap_or(0);
-            explain_signature(&req, &session, generation, degraded)
-        });
+        let signature = (cmd == "explain")
+            .then(|| explain_signature(&req, &session, inner.generation, degraded));
         match class {
             RequestClass::Control => {
                 if inner.control.len() >= CONTROL_QUEUE_DEPTH {
@@ -920,10 +920,10 @@ impl Scheduler {
 
 /// The coalescing key of an explain: every field that shapes the
 /// response — including `trace`, since a traced response carries a span
-/// object an untraced client never asked for — plus the session's
-/// catalog generation (so explains across a re-register never share a
-/// run) and the degrade decision (a sampled run must never stand in for
-/// a full one).
+/// object an untraced client never asked for — plus the catalog
+/// generation (so explains across a re-register never share a run) and
+/// the degrade decision (a sampled run must never stand in for a full
+/// one).
 fn explain_signature(req: &Json, session: &str, generation: u64, degraded: bool) -> String {
     let field = |k: &str| {
         req.get(k)

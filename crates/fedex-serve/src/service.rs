@@ -18,9 +18,10 @@
 //!
 //! Responses always carry `"ok"`; failures are
 //! `{"ok":false,"code":…,"error":…}` with a machine-readable `code`
-//! (`invalid_json`, `bad_request`, `unknown_cmd`, `explain_failed`, and —
-//! from the admission scheduler — `overloaded`, `quota_exceeded`,
-//! `shutting_down`; see [`crate::sched`] and `docs/WIRE_PROTOCOL.md`). A
+//! (`invalid_json`, `bad_request`, `unknown_cmd`, `explain_failed`,
+//! `session_full`, and — from the admission scheduler — `overloaded`,
+//! `quota_exceeded`, `shutting_down`; see [`crate::sched`] and
+//! `docs/WIRE_PROTOCOL.md`). A
 //! malformed request never tears down the server; only a request over
 //! the transport's 64 MiB cap (`too_large`, answered by
 //! [`crate::server`]) closes its connection. Explain responses embed the per-stage timings and a cumulative
@@ -33,6 +34,7 @@ use std::time::Instant;
 
 use fedex_core::{
     sampling_error_bound, to_json_array, CancelToken, ExplainError, SessionManager, StageReport,
+    MAX_WIDTH,
 };
 use fedex_frame::{Column, DataFrame};
 use fedex_obs::{parse_trace_id, trace_id_str, HistSnapshot, Obs, PromWriter};
@@ -44,12 +46,6 @@ use crate::sched::SchedMetrics;
 /// Sample size of a degraded (FEDEX-Sampling) explain — the paper's
 /// recommended interestingness sample (§3.7).
 pub const DEGRADE_SAMPLE_SIZE: usize = 5_000;
-
-/// Widest chart an `explain` may ask for. The rendered text grows with
-/// `width` times the number of bars, so an unbounded `width` lets one
-/// request allocate until the process aborts — a failure no
-/// `catch_unwind` can turn into a typed response.
-pub const MAX_WIDTH: usize = 1_000;
 
 /// Wire-visible server counters.
 #[derive(Debug, Default)]
@@ -215,6 +211,17 @@ fn cache_json(manager: &SessionManager) -> Json {
         ("rejected", n(m.rejected as f64)),
         ("entries", n(m.entries as f64)),
         ("bytes", n(m.bytes as f64)),
+        ("budget", n(m.budget as f64)),
+    ])
+}
+
+/// Session gauges as a JSON object.
+fn sessions_json(manager: &SessionManager) -> Json {
+    let m = manager.stats();
+    obj([
+        ("sessions", n(m.sessions as f64)),
+        ("bytes", n(m.bytes as f64)),
+        ("evictions", n(m.evictions as f64)),
         ("budget", n(m.budget as f64)),
     ])
 }
@@ -567,6 +574,7 @@ impl ExplainService {
                 let mut fields = vec![
                     ("server", self.metrics.to_json()),
                     ("cache", cache_json(&self.manager)),
+                    ("sessions", sessions_json(&self.manager)),
                 ];
                 if let Some(sched) = self.scheduler.get() {
                     fields.push(("scheduler", sched.to_json()));
@@ -668,7 +676,10 @@ impl ExplainService {
         // The manager computes (and the frame memoizes) the content
         // digest here, once — every later explain over this table reads
         // it in O(1) instead of re-scanning 15 columns × n rows.
-        let fp = self.manager.register(session, table, df);
+        let fp = match self.manager.register(session, table, df) {
+            Ok(fp) => fp,
+            Err(e) => return err("session_full", e.to_string()),
+        };
         ok(vec![
             ("session", s(session)),
             ("table", s(table)),
@@ -706,17 +717,12 @@ impl ExplainService {
         let trace_id = job
             .trace_id
             .or_else(|| self.obs.as_ref().map(|o| o.mint_trace().id));
-        // Stage breakdown captured out of the summarize closure for the
-        // slow-explain log (printed after the session lock is released).
-        let mut slow_breakdown = String::new();
-        let response = self.manager.run_traced_configured_with(
-            session,
-            sql,
-            save_as,
-            |config| {
-                // Fault hooks fire here, inside the session write lock,
-                // so an injected panic exercises the same poisoned-lock
-                // recovery a real pipeline bug would.
+        let run = self
+            .manager
+            .run_traced_configured(session, sql, save_as, |config| {
+                // Fault hooks fire here, inside the session write lock, so an
+                // injected panic exercises the same poisoned-lock recovery a
+                // real pipeline bug would.
                 if let Some(plan) = &faults {
                     plan.inject_stage_delay();
                     if plan.should_panic() {
@@ -728,122 +734,112 @@ impl ExplainService {
                 }
                 config.trace_id = trace_id;
                 config.cancel = cancel;
-            },
-            |entry, trace| {
-                if let Some(obs) = &self.obs {
-                    for r in trace {
-                        obs.record_stage(r.stage, r.elapsed);
-                        obs.recorder().push(
-                            trace_id.unwrap_or(0),
-                            "stage",
-                            "explain",
-                            session,
-                            r.stage,
-                            "",
-                            r.elapsed.as_micros() as u64,
-                        );
-                    }
-                }
-                slow_breakdown = trace
-                    .iter()
-                    .map(StageReport::describe)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                // `top` trims the *response* — the ranked prefix is exactly
-                // what `top_k_explanations` would have kept; history stays
-                // complete.
-                let shown = match top {
-                    Some(k) => &entry.explanations[..k.min(entry.explanations.len())],
-                    None => &entry.explanations[..],
-                };
-                // Spliced verbatim: the core writers emit the same
-                // canonical form `Json` would, so no parse-back is needed.
-                let explanations = Json::Raw(to_json_array(shown));
-                let rendered = fedex_core::render_all(shown, width);
-                let encode_micros = trace
-                    .iter()
-                    .find(|r| r.stage == "ScoreColumns")
-                    .and_then(|r| r.sub.iter().find(|(name, _)| *name == "encode"))
-                    .map_or(0.0, |(_, d)| d.as_micros() as f64);
-                let total_micros: u64 = trace.iter().map(|r| r.elapsed.as_micros() as u64).sum();
-                let mut fields = vec![
-                    ("session", s(session)),
-                    ("sql", s(sql)),
-                    ("n_rows_in", n(entry.n_rows_in as f64)),
-                    ("n_rows_out", n(entry.n_rows_out as f64)),
-                    ("explanations", explanations),
-                    ("rendered", s(rendered)),
-                    ("stage_trace", trace_json(trace)),
-                    ("encode_micros", n(encode_micros)),
-                ];
-                if degraded {
-                    // The accuracy the client traded for latency: a 95%
-                    // DKW bound on the sampled interestingness scores.
-                    fields.push(("degraded", Json::Bool(true)));
-                    fields.push(("sample_size", n(DEGRADE_SAMPLE_SIZE as f64)));
-                    fields.push(("error_bound", n(sampling_error_bound(DEGRADE_SAMPLE_SIZE))));
-                }
-                if want_trace {
-                    // `total_micros` is the sum of the per-stage spans by
-                    // construction, so clients can check that the spans
-                    // account for the whole pipeline wall time.
-                    fields.push((
-                        "trace",
-                        obj([
-                            ("id", trace_id.map_or(Json::Null, |id| s(trace_id_str(id)))),
-                            ("total_micros", n(total_micros as f64)),
-                            (
-                                "queue_micros",
-                                job.queue_wait_micros.map_or(Json::Null, |q| n(q as f64)),
-                            ),
-                            ("degraded", Json::Bool(degraded)),
-                            ("coalesced", Json::Bool(job.waiters > 1)),
-                            ("spans", trace_json(trace)),
-                        ]),
-                    ));
-                }
-                (ok(fields), total_micros)
-            },
-        );
-        match response {
-            Ok((Json::Obj(mut fields), total_micros)) => {
-                if degraded {
-                    self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Full runs refresh the cold-run cost estimate the
-                    // scheduler uses for deadline-driven degradation.
-                    self.est_explain_micros
-                        .store(total_micros, Ordering::Relaxed);
-                }
-                let slow_ms = self.slow_explain_ms.load(Ordering::Relaxed);
-                if slow_ms > 0 && total_micros >= slow_ms.saturating_mul(1000) {
-                    let id = trace_id.map_or_else(|| "-".to_string(), trace_id_str);
-                    eprintln!(
-                        "[slow-explain] {id} session={session} {}ms: {slow_breakdown}",
-                        total_micros / 1000
-                    );
-                }
-                // The cache snapshot is taken after the run, outside the
-                // session lock.
-                fields.push(("cache".to_string(), cache_json(&self.manager)));
-                Json::Obj(fields)
-            }
-            Ok((other, _)) => other,
+            });
+        let (entry, trace) = match run {
+            Ok(run) => run,
             Err(ExplainError::DeadlineExceeded) => {
                 self.metrics
                     .deadline_exceeded
                     .fetch_add(1, Ordering::Relaxed);
-                err(
+                return err(
                     "deadline_exceeded",
                     "deadline budget exhausted before the explain completed",
-                )
+                );
             }
             Err(ExplainError::Cancelled) => {
                 self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                err("cancelled", "explain cancelled: every waiter detached")
+                return err("cancelled", "explain cancelled: every waiter detached");
             }
-            Err(e) => err("explain_failed", format!("explain failed: {e}")),
+            Err(e @ ExplainError::SessionFull { .. }) => return err("session_full", e.to_string()),
+            Err(e) => return err("explain_failed", format!("explain failed: {e}")),
+        };
+        if let Some(obs) = &self.obs {
+            for r in &trace {
+                obs.record_stage(r.stage, r.elapsed);
+                obs.recorder().push(
+                    trace_id.unwrap_or(0),
+                    "stage",
+                    "explain",
+                    session,
+                    r.stage,
+                    "",
+                    r.elapsed.as_micros() as u64,
+                );
+            }
         }
+        // `top` trims the *response* — the ranked prefix is exactly what
+        // `top_k_explanations` would have kept; history counts them all.
+        let shown = match top {
+            Some(k) => &entry.explanations[..k.min(entry.explanations.len())],
+            None => &entry.explanations[..],
+        };
+        // Spliced verbatim: the core writers emit the same canonical form
+        // `Json` would, so no parse-back is needed.
+        let explanations = Json::Raw(to_json_array(shown));
+        let rendered = fedex_core::render_all(shown, width);
+        let encode_micros = trace
+            .iter()
+            .find(|r| r.stage == "ScoreColumns")
+            .and_then(|r| r.sub.iter().find(|(name, _)| *name == "encode"))
+            .map_or(0.0, |(_, d)| d.as_micros() as f64);
+        let total_micros: u64 = trace.iter().map(|r| r.elapsed.as_micros() as u64).sum();
+        let mut fields = vec![
+            ("session", s(session)),
+            ("sql", s(sql)),
+            ("n_rows_in", n(entry.summary.n_rows_in as f64)),
+            ("n_rows_out", n(entry.summary.n_rows_out as f64)),
+            ("explanations", explanations),
+            ("rendered", s(rendered)),
+            ("stage_trace", trace_json(&trace)),
+            ("encode_micros", n(encode_micros)),
+        ];
+        if degraded {
+            // The accuracy the client traded for latency: a 95% DKW bound
+            // on the sampled interestingness scores.
+            fields.push(("degraded", Json::Bool(true)));
+            fields.push(("sample_size", n(DEGRADE_SAMPLE_SIZE as f64)));
+            fields.push(("error_bound", n(sampling_error_bound(DEGRADE_SAMPLE_SIZE))));
+            self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // Full runs refresh the cold-run cost estimate the scheduler
+            // uses for deadline-driven degradation.
+            self.est_explain_micros
+                .store(total_micros, Ordering::Relaxed);
+        }
+        if want_trace {
+            // `total_micros` is the sum of the per-stage spans by
+            // construction, so clients can check that the spans account
+            // for the whole pipeline wall time.
+            fields.push((
+                "trace",
+                obj([
+                    ("id", trace_id.map_or(Json::Null, |id| s(trace_id_str(id)))),
+                    ("total_micros", n(total_micros as f64)),
+                    (
+                        "queue_micros",
+                        job.queue_wait_micros.map_or(Json::Null, |q| n(q as f64)),
+                    ),
+                    ("degraded", Json::Bool(degraded)),
+                    ("coalesced", Json::Bool(job.waiters > 1)),
+                    ("spans", trace_json(&trace)),
+                ]),
+            ));
+        }
+        let slow_ms = self.slow_explain_ms.load(Ordering::Relaxed);
+        if slow_ms > 0 && total_micros >= slow_ms.saturating_mul(1000) {
+            let id = trace_id.map_or_else(|| "-".to_string(), trace_id_str);
+            let breakdown = trace
+                .iter()
+                .map(StageReport::describe)
+                .collect::<Vec<_>>()
+                .join("; ");
+            eprintln!(
+                "[slow-explain] {id} session={session} {}ms: {breakdown}",
+                total_micros / 1000
+            );
+        }
+        fields.push(("cache", cache_json(&self.manager)));
+        ok(fields)
     }
 
     /// The `debug_dump` command: the flight-recorder ring, optionally
@@ -1009,6 +1005,26 @@ impl ExplainService {
             c.budget as u64,
         );
 
+        let sessions = self.manager.stats();
+        gauge(
+            &mut w,
+            "fedex_sessions",
+            "Sessions held.",
+            sessions.sessions as u64,
+        );
+        gauge(
+            &mut w,
+            "fedex_session_bytes",
+            "Bytes all sessions retain, charged against the session budget.",
+            sessions.bytes as u64,
+        );
+        counter(
+            &mut w,
+            "fedex_session_evictions_total",
+            "Idle sessions evicted to stay within the session budget.",
+            sessions.evictions,
+        );
+
         if let Some(sched) = self.scheduler.get() {
             let sc = sched.snapshot();
             w.header(
@@ -1151,7 +1167,7 @@ impl ExplainService {
                     obj([
                         ("sql", s(e.sql.clone())),
                         ("saved_as", e.saved_as.clone().map_or(Json::Null, Json::Str)),
-                        ("n_explanations", n(e.explanations.len() as f64)),
+                        ("n_explanations", n(e.n_explanations as f64)),
                         ("n_rows_out", n(e.n_rows_out as f64)),
                     ])
                 })
@@ -1238,6 +1254,26 @@ mod tests {
     }
 
     #[test]
+    fn failed_explains_create_no_session() {
+        let svc = ExplainService::default();
+        for name in ["ghost1", "ghost2", "ghost3"] {
+            let r = svc.dispatch(
+                &json::parse(&format!(
+                    r#"{{"cmd":"explain","session":"{name}","sql":"SELECT * FROM nope WHERE x > 1"}}"#
+                ))
+                .unwrap(),
+            );
+            assert_eq!(
+                r.get("code").and_then(Json::as_str),
+                Some("explain_failed"),
+                "{r:?}"
+            );
+        }
+        let r = svc.dispatch(&json::parse(r#"{"cmd":"sessions"}"#).unwrap());
+        assert_eq!(r.get("sessions"), Some(&Json::Arr(Vec::new())), "{r:?}");
+    }
+
+    #[test]
     fn register_demo_and_metrics() {
         let svc = ExplainService::default();
         let r = svc.dispatch(
@@ -1252,6 +1288,13 @@ mod tests {
             Some(1.0)
         );
         assert!(m.get("cache").and_then(|c| c.get("budget")).is_some());
+        let sessions = m.get("sessions").unwrap();
+        assert_eq!(sessions.get("sessions").and_then(Json::as_f64), Some(1.0));
+        assert!(sessions.get("bytes").and_then(Json::as_f64).unwrap() > 0.0);
+        assert_eq!(
+            sessions.get("budget").and_then(Json::as_f64),
+            Some(fedex_core::SESSION_BUDGET as f64)
+        );
     }
 
     #[test]

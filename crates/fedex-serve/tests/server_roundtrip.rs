@@ -397,6 +397,22 @@ fn prometheus_scrape_is_valid_and_counts_every_request() {
             "{family} missing or mistyped"
         );
     }
+    // The session gauges: one session ("p") retaining its table, summary
+    // and last explanations, nothing evicted.
+    for (family, kind) in [
+        ("fedex_sessions", "gauge"),
+        ("fedex_session_bytes", "gauge"),
+        ("fedex_session_evictions_total", "counter"),
+    ] {
+        assert_eq!(
+            exp.types.get(family).map(String::as_str),
+            Some(kind),
+            "{family} missing or mistyped"
+        );
+    }
+    assert_eq!(exp.sum("fedex_sessions"), Some(1.0), "\n{text}");
+    assert!(exp.sum("fedex_session_bytes").unwrap() > 0.0, "\n{text}");
+    assert_eq!(exp.sum("fedex_session_evictions_total"), Some(0.0));
     // Every wire command exposes a series, and the per-command counts
     // sum to exactly the request counter — nothing escapes the
     // histograms (the direct scrape itself bumps no counters).
