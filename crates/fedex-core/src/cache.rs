@@ -4,7 +4,7 @@
 //! the ScoreColumns stage spends ~1.7s of 1.9s dictionary-encoding inputs
 //! that, in a served deployment, were registered once and explained many
 //! times. An [`ArtifactCache`] memoizes exactly those re-derivable
-//! artifacts across requests, in three key namespaces sharing one byte
+//! artifacts across requests, in four key namespaces sharing one byte
 //! budget:
 //!
 //! * **coded frames** — the [`CodedFrame`] of an input dataframe, keyed by
@@ -21,14 +21,28 @@
 //!   later step over the same table — another filter, a group-by, the
 //!   same table as a join or union arm — skips mining. The entry is
 //!   charged for its distinct row payloads only: a many-to-one partition
-//!   shares its via column's frequency payload (see [`crate::partition`]).
+//!   shares its via column's frequency payload (see [`crate::partition`]);
+//! * **explain results** — the whole `Arc<[Explanation]>` of one session
+//!   step, keyed by the step fingerprint folded with every configuration
+//!   field that shapes the output ([`results_key`]; `sample_size` among
+//!   them, so a sampled result never answers an exact request). A hit
+//!   skips all five stages, and the session's last step shares the `Arc`.
 //!
-//! Partition lists are admitted on an input's **second sighting** only:
-//! the PartitionRows stage inserts a list only when ScoreColumns found the
-//! input's coded frame already cached. One-shot inputs (a union arm, a
-//! join subquery, a fresh upload) are mined but never inserted, so they
-//! cannot evict the frames and kernels of tables that are explained
-//! again.
+//! Three admission rules keep the first three namespaces' working set
+//! resident:
+//!
+//! 1. **Second sighting.** Partition lists and results are inserted only
+//!    when the step already found part of its work cached: a partition
+//!    list when ScoreColumns found the input's coded frame, a result when
+//!    it found the step's kernels. One-shot inputs and steps (a union arm,
+//!    a join subquery, a fresh upload) are computed but never inserted, so
+//!    they cannot evict the frames and kernels of tables that are
+//!    explained again.
+//! 2. **Results use spare budget only.** A result is never admitted if
+//!    admitting it would evict anything, and results are the first
+//!    victims whenever another insert needs room.
+//! 3. **A result hit refreshes its inputs' frames**, so a table answered
+//!    from its results stays as warm as one whose steps still run.
 //!
 //! Entries are plain memoizations of pure functions of the key, so a hit
 //! can never change an explanation — only skip recomputing it; the
@@ -38,8 +52,8 @@
 //! insertion-time size estimate (`approx_bytes`), a last-touched tick,
 //! **and the measured wall-clock cost of rebuilding it** — the caller just
 //! derived the artifact, so the rebuild cost is known exactly, not
-//! modelled. The victim is the entry with the lowest *retained value per
-//! byte*,
+//! modelled. Results aside, the victim is the entry with the lowest
+//! *retained value per byte*,
 //!
 //! ```text
 //! value(e) = rebuild_micros(e) × recency(e) / bytes(e)
@@ -52,7 +66,8 @@
 //! the order is least-recently-used. An entry larger than the whole
 //! budget is simply not admitted (the caller keeps its freshly-built
 //! artifact — correctness never depends on residency). [`CacheMetrics`]
-//! counters feed the server's `metrics` command and `GET /metrics`.
+//! counters, split by artifact kind, feed the server's `metrics` command
+//! and `GET /metrics`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,9 +75,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use fedex_frame::{CodedFrame, Fingerprint, FpHasher};
+use fedex_query::ExploratoryStep;
 
+use crate::explain::{Explanation, FedexConfig};
 use crate::kernel::ExcKernelCache;
 use crate::partition::{self, RowPartition};
+use crate::pipeline::stages::{input_fingerprints, step_fingerprint};
 
 /// Default byte budget: 1 GiB. A 1M-row Spotify-shaped table (~15 columns,
 /// several high-cardinality dictionaries) codes to ~0.5 GiB, so the
@@ -77,14 +95,32 @@ enum Artifact {
     Frame(Arc<CodedFrame>),
     Kernels(Arc<ExcKernelCache>),
     Partitions(Arc<Vec<RowPartition>>),
+    Results(Arc<[Explanation]>),
 }
 
-/// The three key namespaces share one map so the budget is global.
+/// The four key namespaces share one map so the budget is global.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Frame(Fingerprint),
     Kernels(Fingerprint),
     Partitions(Fingerprint),
+    Results(Fingerprint),
+}
+
+/// The artifact kinds, one per key namespace, in the order of
+/// [`CacheMetrics::by_artifact`].
+pub const ARTIFACTS: [&str; 4] = ["frame", "kernels", "partitions", "results"];
+
+impl Key {
+    /// Index of the key's namespace in [`ARTIFACTS`].
+    fn kind(self) -> usize {
+        match self {
+            Key::Frame(_) => 0,
+            Key::Kernels(_) => 1,
+            Key::Partitions(_) => 2,
+            Key::Results(_) => 3,
+        }
+    }
 }
 
 /// Key of an input's mined partitions: mining is a pure function of the
@@ -98,6 +134,46 @@ fn partitions_key(input: Fingerprint, set_counts: &[usize], seed: u64) -> Key {
     }
     h.write_u64(seed);
     Key::Partitions(h.finish())
+}
+
+/// Key of one explain's result: the step fingerprint (operation + input
+/// contents) folded with every configuration field that shapes the
+/// output. The destructure is exhaustive, so a new [`FedexConfig`] field
+/// does not compile until it is placed in the key or named here as
+/// output-neutral.
+pub(crate) fn results_key(step: &ExploratoryStep, config: &FedexConfig) -> Fingerprint {
+    let FedexConfig {
+        set_counts,
+        top_k_columns,
+        sample_size,
+        seed,
+        target_columns,
+        top_k_explanations,
+        w_interestingness,
+        w_contribution,
+        measure_override,
+        execution: _,
+        artifact_cache: _,
+        cancel: _,
+        trace_id: _,
+    } = config;
+    let mut h = FpHasher::new();
+    h.write_fingerprint(step_fingerprint(step, input_fingerprints(step).into_iter()));
+    // The debug form is unambiguous: strings are quoted and escaped, and
+    // the weights enter as their exact bit patterns.
+    let shape = (
+        set_counts,
+        top_k_columns,
+        sample_size,
+        seed,
+        target_columns,
+        top_k_explanations,
+        w_interestingness.to_bits(),
+        w_contribution.to_bits(),
+        measure_override,
+    );
+    h.write_bytes(format!("{shape:?}").as_bytes());
+    h.finish()
 }
 
 struct Entry {
@@ -130,22 +206,36 @@ struct Inner {
 /// numbers feed dashboards, not control flow.
 #[derive(Debug, Default)]
 struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Per artifact kind, in [`ARTIFACTS`] order.
+    hits: [AtomicU64; 4],
+    misses: [AtomicU64; 4],
     evictions: AtomicU64,
     rejected: AtomicU64,
+}
+
+/// Lookups of one artifact kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Lookups {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
 }
 
 /// A point-in-time snapshot of [`ArtifactCache`] state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheMetrics {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache, over every artifact kind.
     pub hits: u64,
-    /// Lookups that missed (the caller then computed and inserted).
+    /// Lookups that missed (the caller then computed, and maybe
+    /// inserted), over every artifact kind.
     pub misses: u64,
+    /// `hits` and `misses` per artifact kind, in [`ARTIFACTS`] order.
+    pub by_artifact: [Lookups; 4],
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
-    /// Insertions rejected because a single entry exceeded the budget.
+    /// Insertions not admitted: an entry larger than the whole budget, or
+    /// a result that would have needed an eviction.
     pub rejected: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -273,12 +363,44 @@ impl ArtifactCache {
         );
     }
 
+    /// The cached result of the session step with this [`results_key`],
+    /// refreshing its recency.
+    pub(crate) fn get_results(&self, key: Fingerprint) -> Option<Arc<[Explanation]>> {
+        match self.get(Key::Results(key)) {
+            Some(Artifact::Results(r)) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// Insert (or refresh) the result of the step with this
+    /// [`results_key`]; `rebuild` is the measured pipeline time. Charged
+    /// for its explanations' bytes, and admitted only into spare budget.
+    pub(crate) fn put_results(
+        &self,
+        key: Fingerprint,
+        results: Arc<[Explanation]>,
+        rebuild: Duration,
+    ) {
+        let bytes = results.iter().map(Explanation::approx_bytes).sum::<usize>();
+        self.put(
+            Key::Results(key),
+            Artifact::Results(results),
+            bytes.max(1024),
+            rebuild,
+        );
+    }
+
     /// Counter + occupancy snapshot.
     pub fn metrics(&self) -> CacheMetrics {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let by_artifact: [Lookups; 4] = std::array::from_fn(|i| Lookups {
+            hits: self.counters.hits[i].load(Ordering::Relaxed),
+            misses: self.counters.misses[i].load(Ordering::Relaxed),
+        });
         CacheMetrics {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
+            hits: by_artifact.iter().map(|l| l.hits).sum(),
+            misses: by_artifact.iter().map(|l| l.misses).sum(),
+            by_artifact,
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
             entries: inner.map.len(),
@@ -301,11 +423,11 @@ impl ArtifactCache {
         match inner.map.get_mut(&key) {
             Some(entry) => {
                 entry.last_used = tick;
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits[key.kind()].fetch_add(1, Ordering::Relaxed);
                 Some(entry.artifact.clone())
             }
             None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses[key.kind()].fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -318,6 +440,14 @@ impl ArtifactCache {
             return;
         }
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Key::Results(_) = key {
+            // A result takes only spare budget: it never evicts anything.
+            let replaced = inner.map.get(&key).map_or(0, |old| old.bytes);
+            if inner.bytes - replaced + bytes > self.budget {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
         inner.clock += 1;
         let tick = inner.clock;
         let mut rebuild_micros = rebuild.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -345,16 +475,19 @@ impl ArtifactCache {
         // eviction beats maintaining an ordered structure.
         while inner.bytes > self.budget {
             let clock = inner.clock;
-            // Never evict what we just inserted. f64 values are finite by
-            // construction; tie-break on recency then bytes so the victim
-            // is deterministic even though HashMap iteration order is not.
+            // Never evict what we just inserted, and results go first.
+            // f64 values are finite by construction; tie-break on recency
+            // then bytes so the victim is deterministic even though
+            // HashMap iteration order is not.
+            let not_results = |k: &Key| !matches!(k, Key::Results(_));
             let victim = inner
                 .map
                 .iter()
                 .filter(|(k, _)| **k != key)
-                .min_by(|(_, a), (_, b)| {
-                    a.value_per_byte(clock)
-                        .total_cmp(&b.value_per_byte(clock))
+                .min_by(|(ka, a), (kb, b)| {
+                    not_results(ka)
+                        .cmp(&not_results(kb))
+                        .then(a.value_per_byte(clock).total_cmp(&b.value_per_byte(clock)))
                         .then(a.last_used.cmp(&b.last_used))
                         .then(b.bytes.cmp(&a.bytes))
                 });
@@ -545,6 +678,125 @@ mod tests {
         assert!(cache.get_partitions(fp, &[5], 2).is_none());
         assert!(cache.get_frame(fp).is_none(), "namespaces are distinct");
         assert_eq!(cache.metrics().entries, 1);
+    }
+
+    /// An empty result: charged the 1 KiB floor.
+    fn no_explanations() -> Arc<[Explanation]> {
+        Arc::from(Vec::new())
+    }
+
+    const RESULT_KEY: Fingerprint = Fingerprint([7, 7]);
+
+    #[test]
+    fn results_take_only_spare_budget() {
+        let df = frame(0, 1000);
+        let frame_bytes = coded(&df).approx_bytes();
+        // 512 bytes spare after the frame: short of a result's 1 KiB.
+        let cache = ArtifactCache::with_budget(frame_bytes + 512);
+        cache.put_frame(df.fingerprint(), coded(&df), FLAT_COST);
+        cache.put_results(RESULT_KEY, no_explanations(), Duration::from_secs(3));
+        let m = cache.metrics();
+        assert_eq!((m.entries, m.evictions, m.rejected), (1, 0, 1));
+        assert!(cache.get_results(RESULT_KEY).is_none());
+        assert!(cache.get_frame(df.fingerprint()).is_some());
+
+        // With room to spare, the same result is admitted.
+        let roomy = ArtifactCache::with_budget(frame_bytes + 1024);
+        roomy.put_frame(df.fingerprint(), coded(&df), FLAT_COST);
+        roomy.put_results(RESULT_KEY, no_explanations(), FLAT_COST);
+        assert!(roomy.get_results(RESULT_KEY).is_some());
+        assert_eq!(roomy.metrics().rejected, 0);
+    }
+
+    #[test]
+    fn results_are_evicted_first() {
+        let frames: Vec<DataFrame> = (0..2).map(|t| frame(t * 100, 1000)).collect();
+        let frame_bytes = coded(&frames[0]).approx_bytes();
+        let cache = ArtifactCache::with_budget(2 * frame_bytes + 1023);
+        cache.put_frame(frames[0].fingerprint(), coded(&frames[0]), FLAT_COST);
+        // The most recent and by far the costliest entry per byte, so by
+        // value alone the frame would go.
+        cache.put_results(RESULT_KEY, no_explanations(), Duration::from_secs(3));
+        cache.put_frame(frames[1].fingerprint(), coded(&frames[1]), FLAT_COST);
+        let m = cache.metrics();
+        assert_eq!((m.entries, m.evictions), (2, 1));
+        assert!(cache.get_results(RESULT_KEY).is_none());
+        assert!(cache.get_frame(frames[0].fingerprint()).is_some());
+        assert!(cache.get_frame(frames[1].fingerprint()).is_some());
+    }
+
+    #[test]
+    fn lookups_are_counted_per_artifact() {
+        let cache = ArtifactCache::default();
+        let df = frame(0, 100);
+        let fp = df.fingerprint();
+        cache.put_frame(fp, coded(&df), FLAT_COST);
+        cache.put_results(RESULT_KEY, no_explanations(), FLAT_COST);
+        cache.get_frame(fp);
+        cache.get_kernels(fp);
+        cache.get_partitions(fp, &[5], 1);
+        cache.get_results(RESULT_KEY);
+        cache.get_results(Fingerprint([8, 8]));
+        let m = cache.metrics();
+        let lookups = |hits, misses| Lookups { hits, misses };
+        assert_eq!(
+            m.by_artifact,
+            [lookups(1, 0), lookups(0, 1), lookups(0, 1), lookups(1, 1)]
+        );
+        assert_eq!((m.hits, m.misses), (2, 3));
+    }
+
+    #[test]
+    fn results_key_covers_every_output_shaping_field() {
+        use crate::cancel::CancelToken;
+        use crate::interestingness::InterestingnessKind;
+        use crate::pipeline::ExecutionMode;
+        use fedex_query::{Expr, Operation};
+
+        let step_of = |df: DataFrame, bound: i64| {
+            ExploratoryStep::run(
+                vec![df],
+                Operation::filter(Expr::col("x").gt(Expr::lit(bound))),
+            )
+            .unwrap()
+        };
+        let step = step_of(frame(0, 100), 5);
+        let base = FedexConfig::default();
+        let key = |config: &FedexConfig| results_key(&step, config);
+        let shaping: [fn(&mut FedexConfig); 9] = [
+            |c| c.set_counts = vec![5],
+            |c| c.top_k_columns = 4,
+            |c| c.sample_size = Some(50),
+            |c| c.seed = 43,
+            |c| c.target_columns = Some(vec!["x".to_string()]),
+            |c| c.top_k_explanations = Some(1),
+            |c| c.w_interestingness = 0.5,
+            |c| c.w_contribution = 0.5,
+            |c| c.measure_override = Some(InterestingnessKind::Diversity),
+        ];
+        for (i, change) in shaping.iter().enumerate() {
+            let mut config = base.clone();
+            change(&mut config);
+            assert_ne!(key(&config), key(&base), "field {i} must change the key");
+        }
+        let neutral: [fn(&mut FedexConfig); 4] = [
+            |c| c.execution = ExecutionMode::Threads(3),
+            |c| c.artifact_cache = Some(Arc::new(ArtifactCache::default())),
+            |c| c.cancel = Some(CancelToken::new()),
+            |c| c.trace_id = Some(9),
+        ];
+        for (i, change) in neutral.iter().enumerate() {
+            let mut config = base.clone();
+            change(&mut config);
+            assert_eq!(
+                key(&config),
+                key(&base),
+                "field {i} must not change the key"
+            );
+        }
+        // The operation and the input contents are in the key too.
+        assert_ne!(results_key(&step_of(frame(0, 100), 6), &base), key(&base));
+        assert_ne!(results_key(&step_of(frame(1, 100), 5), &base), key(&base));
     }
 
     #[test]

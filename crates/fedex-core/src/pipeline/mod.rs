@@ -169,7 +169,9 @@ pub struct StageReport {
     /// when an [`ArtifactCache`](crate::ArtifactCache) is configured,
     /// ScoreColumns reports one `frame[i]` entry per input plus a
     /// `kernels` entry, and PartitionRows one `partitions[i]` entry per
-    /// input; other stages (and uncached runs) report none.
+    /// input; other stages (and uncached runs) report none. A session
+    /// step answered from the cache's results reports a single `Results`
+    /// stage with a `results` entry (see [`crate::session`]).
     pub artifacts: Vec<(String, bool)>,
 }
 

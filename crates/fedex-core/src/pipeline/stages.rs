@@ -157,7 +157,7 @@ fn ensure_coded(
 /// form) folded with the content fingerprints of every input. Two steps
 /// with equal keys run the same deterministic operation over equal bytes,
 /// so their per-column kernel caches are interchangeable.
-fn step_fingerprint(
+pub(crate) fn step_fingerprint(
     step: &ExploratoryStep,
     input_fps: impl Iterator<Item = Fingerprint>,
 ) -> Fingerprint {

@@ -12,6 +12,12 @@
 //! last step only. A [`SessionManager`] also bounds what all of its
 //! sessions retain together by one budget, [`SESSION_BUDGET`].
 //!
+//! With an [`ArtifactCache`] configured, a step whose operation, input
+//! contents and output-shaping configuration repeat an earlier one is
+//! answered from the cache's results namespace without running the
+//! pipeline (see [`crate::cache`]); the session's last step then shares
+//! the cached `Arc`.
+//!
 //! ```
 //! use fedex_core::session::Session;
 //! use fedex_core::Fedex;
@@ -33,14 +39,16 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
 use fedex_frame::{DataFrame, Fingerprint};
 use fedex_query::{parse_query, Catalog, ExploratoryStep};
 
-use crate::cache::ArtifactCache;
+use crate::cache::{results_key, ArtifactCache};
 use crate::explain::{Explanation, Fedex, FedexConfig};
 use crate::ExplainError;
 use crate::Result;
+use crate::StageReport;
 
 /// Bytes the sessions of one [`SessionManager`] may retain together:
 /// their catalog tables ([`DataFrame::approx_bytes`]), step summaries,
@@ -171,16 +179,19 @@ impl Session {
     /// serving layer reports the timings, and uses the configuration to
     /// attach a cancellation token or downgrade one run to
     /// FEDEX-Sampling without touching the session's base configuration.
+    ///
+    /// A step answered from the artifact cache's results reports one
+    /// `Results` stage with a `("results", true)` cache event.
     pub fn run_traced_configured(
         &mut self,
         sql: &str,
         save_as: Option<String>,
         configure: impl FnOnce(&mut FedexConfig),
-    ) -> Result<(SessionEntry, Vec<crate::StageReport>)> {
+    ) -> Result<(SessionEntry, Vec<StageReport>)> {
         let step = self.execute(sql)?;
         let mut fedex = self.fedex.clone();
         configure(fedex.config_mut());
-        let (explanations, trace) = fedex.explain_traced(&step)?;
+        let (explanations, trace) = explain_memoized(&fedex, &step)?;
         Ok((self.record(sql, step, explanations, save_as)?, trace))
     }
 
@@ -232,7 +243,7 @@ impl Session {
         &mut self,
         sql: &str,
         step: ExploratoryStep,
-        explanations: Vec<Explanation>,
+        explanations: Arc<[Explanation]>,
         save_as: Option<String>,
     ) -> Result<SessionEntry> {
         let summary = StepSummary {
@@ -260,7 +271,7 @@ impl Session {
         }
         self.history_bytes = history_bytes;
         self.last_bytes = last_bytes;
-        self.last = explanations.into();
+        self.last = explanations;
         self.history.push(summary.clone());
         Ok(SessionEntry {
             summary,
@@ -297,6 +308,48 @@ impl Session {
             }
         }
     }
+}
+
+/// Explain `step` under `fedex`, answering a repeat from the configured
+/// artifact cache's results (see [`crate::cache`]). A hit refreshes the
+/// inputs' coded frames, one lookup each, so a table whose steps are all
+/// answered from results stays as resident as one whose steps still run.
+/// A miss runs the pipeline, and inserts its result when ScoreColumns
+/// found the step's kernels cached: the step's second sighting.
+fn explain_memoized(
+    fedex: &Fedex,
+    step: &ExploratoryStep,
+) -> Result<(Arc<[Explanation]>, Vec<StageReport>)> {
+    let Some(cache) = fedex.config().artifact_cache.as_deref() else {
+        let (explanations, trace) = fedex.explain_traced(step)?;
+        return Ok((explanations.into(), trace));
+    };
+    let t = Instant::now();
+    let key = results_key(step, fedex.config());
+    if let Some(hit) = cache.get_results(key) {
+        for df in &step.inputs {
+            cache.get_frame(df.fingerprint());
+        }
+        let report = StageReport {
+            stage: "Results",
+            elapsed: t.elapsed(),
+            items: hit.len(),
+            sub: Vec::new(),
+            artifacts: vec![("results".to_string(), true)],
+        };
+        return Ok((hit, vec![report]));
+    }
+    let t_pipeline = Instant::now();
+    let (explanations, trace) = fedex.explain_traced(step)?;
+    let explanations: Arc<[Explanation]> = explanations.into();
+    let seen_before = trace
+        .iter()
+        .flat_map(|r| &r.artifacts)
+        .any(|(artifact, hit)| artifact == "kernels" && *hit);
+    if seen_before {
+        cache.put_results(key, explanations.clone(), t_pipeline.elapsed());
+    }
+    Ok((explanations, trace))
 }
 
 /// One session in a [`SessionManager`], with what the budget needs to
@@ -542,7 +595,7 @@ impl SessionManager {
         sql: &str,
         save_as: Option<&str>,
         configure: impl FnOnce(&mut FedexConfig),
-    ) -> Result<(SessionEntry, Vec<crate::StageReport>)> {
+    ) -> Result<(SessionEntry, Vec<StageReport>)> {
         let Some(slot) = self.session(session) else {
             // An unknown session has an empty catalog: the step fails as
             // it would in a new session, and none is created.
@@ -712,6 +765,61 @@ mod tests {
         let last = read_recover(&slot.session).last().unwrap();
         assert!(Arc::ptr_eq(&entry.explanations, &last.explanations));
         assert_eq!(entry.summary, last.summary);
+    }
+
+    #[test]
+    fn a_repeated_step_is_answered_from_the_cached_result() {
+        let cache = Arc::new(ArtifactCache::default());
+        let mut s = Session::new(Fedex::new().with_cache(cache.clone()));
+        s.register("songs", songs());
+        let results = |trace: &[StageReport]| cache_events(trace, "results");
+        // Cold, then a warm run whose kernels hit: it admits its result.
+        let (cold, trace) = s.run_traced_configured(FILTER, None, |_| {}).unwrap();
+        assert!(trace.len() > 1 && results(&trace).is_empty(), "{trace:?}");
+        let (_, trace) = s.run_traced_configured(FILTER, None, |_| {}).unwrap();
+        assert!(trace.len() > 1 && results(&trace).is_empty(), "{trace:?}");
+
+        let (hit, trace) = s
+            .run_traced_configured(FILTER, Some("popular".to_string()), |_| {})
+            .unwrap();
+        assert_eq!(trace.len(), 1, "{trace:?}");
+        assert_eq!(trace[0].stage, "Results");
+        assert_eq!(trace[0].items, hit.explanations.len());
+        assert_eq!(results(&trace), vec![true]);
+        // The entry, the session's last step and the cache share one Arc.
+        let key = results_key(&s.execute(FILTER).unwrap(), s.fedex.config());
+        let cached = cache.get_results(key).expect("admitted on the second run");
+        assert!(Arc::ptr_eq(&hit.explanations, &cached));
+        assert!(Arc::ptr_eq(&s.last().unwrap().explanations, &cached));
+        assert_eq!(hit.explanations.len(), cold.explanations.len());
+        for (x, y) in hit.explanations.iter().zip(cold.explanations.iter()) {
+            assert_eq!(
+                (&x.caption, x.score.to_bits()),
+                (&y.caption, y.score.to_bits())
+            );
+        }
+
+        // The step still ran: its summary is right and `save_as` saved it.
+        let summary = StepSummary {
+            saved_as: Some("popular".to_string()),
+            ..cold.summary.clone()
+        };
+        assert_eq!(hit.summary, summary);
+        assert_eq!(s.history(), [cold.summary.clone(), cold.summary, summary]);
+        assert_eq!(
+            s.catalog().get("popular").unwrap().n_rows(),
+            hit.summary.n_rows_out
+        );
+    }
+
+    /// The hit flags of `artifact` cache events across `trace`.
+    fn cache_events(trace: &[StageReport], artifact: &str) -> Vec<bool> {
+        trace
+            .iter()
+            .flat_map(|r| &r.artifacts)
+            .filter(|(a, _)| a == artifact)
+            .map(|&(_, hit)| hit)
+            .collect()
     }
 
     #[test]

@@ -49,31 +49,41 @@ fn fingerprint_explanations(explanations: &[Explanation]) -> String {
 #[test]
 fn concurrent_sessions_match_uncached_serial_run() {
     const THREADS: usize = 6;
-    const SQL: &str = "SELECT * FROM spotify WHERE popularity > 65";
+    const SQLS: [&str; 2] = [
+        "SELECT * FROM spotify WHERE popularity > 65",
+        "SELECT mean(popularity) FROM spotify GROUP BY decade",
+    ];
     let table = spotify(3_000, 11);
 
     // Reference: no cache, serial.
-    let reference = {
-        let mut session =
-            fedex_core::Session::new(Fedex::new().with_execution(ExecutionMode::Serial));
-        session.register("spotify", table.clone());
-        fingerprint_explanations(&session.run(SQL).unwrap().explanations)
-    };
+    let reference: Vec<String> = SQLS
+        .iter()
+        .map(|sql| {
+            let mut session =
+                fedex_core::Session::new(Fedex::new().with_execution(ExecutionMode::Serial));
+            session.register("spotify", table.clone());
+            fingerprint_explanations(&session.run(sql).unwrap().explanations)
+        })
+        .collect();
 
     let mgr = Arc::new(SessionManager::default());
     for t in 0..THREADS {
         mgr.register(&format!("s{t}"), "spotify", table.clone())
             .unwrap();
     }
-    let results: Vec<String> = std::thread::scope(|scope| {
+    // Each thread runs each SQL three times: cold, a warm run that
+    // admits the result, and a run answered from the cached result.
+    let results: Vec<(usize, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let mgr = mgr.clone();
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    for _ in 0..2 {
-                        let entry = mgr.run(&format!("s{t}"), SQL, None).unwrap();
-                        out.push(fingerprint_explanations(&entry.explanations));
+                    for (q, sql) in SQLS.iter().enumerate() {
+                        for _ in 0..3 {
+                            let entry = mgr.run(&format!("s{t}"), sql, None).unwrap();
+                            out.push((q, fingerprint_explanations(&entry.explanations)));
+                        }
                     }
                     out
                 })
@@ -84,13 +94,18 @@ fn concurrent_sessions_match_uncached_serial_run() {
             .flat_map(|h| h.join().expect("explain thread"))
             .collect()
     });
-    assert_eq!(results.len(), THREADS * 2);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r, &reference, "thread run {i} diverged");
+    assert_eq!(results.len(), THREADS * SQLS.len() * 3);
+    for (i, (q, r)) in results.iter().enumerate() {
+        assert_eq!(r, &reference[*q], "thread run {i} diverged");
     }
-    // All threads shared one table content: one cold encode, the rest hits.
+    // All threads shared one table content: one cold encode, the rest
+    // hits; and every thread's third run of a SQL found its result.
     let m = mgr.cache().metrics();
     assert!(m.hits > 0, "{m:?}");
+    assert!(
+        m.by_artifact[3].hits >= (THREADS * SQLS.len()) as u64,
+        "{m:?}"
+    );
     assert!(m.bytes <= m.budget, "{m:?}");
 }
 

@@ -45,14 +45,16 @@ pub const WIRE_COMMANDS: &[&str] = &[
     "other",
 ];
 
-/// Pipeline stage names, in execution order (must match the
-/// `StageReport::stage` labels produced by the core pipeline).
+/// Pipeline stage names, in execution order, then `Results`: the one
+/// stage of an explain answered from the artifact cache's results (must
+/// match the `StageReport::stage` labels produced by the core).
 pub const STAGES: &[&str] = &[
     "ScoreColumns",
     "PartitionRows",
     "Contribute",
     "Skyline",
     "Present",
+    "Results",
 ];
 
 /// Scheduler queue classes.

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
+use fedex_core::cache::ARTIFACTS;
 use fedex_core::{
     sampling_error_bound, to_json_array, CancelToken, ExplainError, SessionManager, StageReport,
     MAX_WIDTH,
@@ -201,9 +202,16 @@ impl Default for ExplainService {
     }
 }
 
-/// Cumulative artifact-cache snapshot as a JSON object.
+/// Cumulative artifact-cache snapshot as a JSON object: totals, then
+/// hits and misses per artifact kind.
 fn cache_json(manager: &SessionManager) -> Json {
     let m = manager.cache().metrics();
+    let by_artifact = ARTIFACTS.iter().zip(m.by_artifact).map(|(&artifact, l)| {
+        (
+            artifact,
+            obj([("hits", n(l.hits as f64)), ("misses", n(l.misses as f64))]),
+        )
+    });
     obj([
         ("hits", n(m.hits as f64)),
         ("misses", n(m.misses as f64)),
@@ -212,6 +220,7 @@ fn cache_json(manager: &SessionManager) -> Json {
         ("entries", n(m.entries as f64)),
         ("bytes", n(m.bytes as f64)),
         ("budget", n(m.budget as f64)),
+        ("by_artifact", obj(by_artifact)),
     ])
 }
 
@@ -249,8 +258,8 @@ fn trace_json(trace: &[StageReport]) -> Json {
                 ];
                 if !r.artifacts.is_empty() {
                     // Cache consultations of the stage: which artifacts
-                    // (input frames, kernel caches, mined partitions)
-                    // were warm.
+                    // (input frames, kernel caches, mined partitions, a
+                    // whole result) were warm.
                     fields.push((
                         "cache",
                         Json::Arr(
@@ -800,9 +809,10 @@ impl ExplainService {
             fields.push(("sample_size", n(DEGRADE_SAMPLE_SIZE as f64)));
             fields.push(("error_bound", n(sampling_error_bound(DEGRADE_SAMPLE_SIZE))));
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-        } else {
+        } else if !trace.iter().any(|r| r.stage == "Results") {
             // Full runs refresh the cold-run cost estimate the scheduler
-            // uses for deadline-driven degradation.
+            // uses for deadline-driven degradation; a result answered from
+            // the cache says nothing about what a run costs.
             self.est_explain_micros
                 .store(total_micros, Ordering::Relaxed);
         }
@@ -962,18 +972,30 @@ impl ExplainService {
         );
 
         let c = self.manager.cache().metrics();
-        counter(
-            &mut w,
+        w.header(
             "fedex_cache_hits_total",
-            "Artifact-cache hits.",
-            c.hits,
+            "counter",
+            "Artifact-cache hits, by artifact kind.",
         );
-        counter(
-            &mut w,
+        for (artifact, l) in ARTIFACTS.iter().zip(c.by_artifact) {
+            w.sample(
+                "fedex_cache_hits_total",
+                &[("artifact", artifact)],
+                l.hits as f64,
+            );
+        }
+        w.header(
             "fedex_cache_misses_total",
-            "Artifact-cache misses.",
-            c.misses,
+            "counter",
+            "Artifact-cache misses, by artifact kind.",
         );
+        for (artifact, l) in ARTIFACTS.iter().zip(c.by_artifact) {
+            w.sample(
+                "fedex_cache_misses_total",
+                &[("artifact", artifact)],
+                l.misses as f64,
+            );
+        }
         counter(
             &mut w,
             "fedex_cache_evictions_total",
@@ -983,7 +1005,7 @@ impl ExplainService {
         counter(
             &mut w,
             "fedex_cache_rejected_total",
-            "Artifact-cache inserts rejected by the admission policy.",
+            "Artifact-cache inserts not admitted: larger than the whole budget, or a result that would need an eviction.",
             c.rejected,
         );
         gauge(
@@ -1241,6 +1263,80 @@ mod tests {
 
         let h = svc.dispatch(&json::parse(r#"{"cmd":"history","session":"s1"}"#).unwrap());
         assert_eq!(h.get("entries").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    fn explain_req(session: &str, sql: &str) -> Json {
+        obj([
+            ("cmd", s("explain")),
+            ("session", s(session)),
+            ("sql", s(sql)),
+        ])
+    }
+
+    /// The stage names of an explain reply's `stage_trace`.
+    fn stages(r: &Json) -> Vec<String> {
+        r.get("stage_trace")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("{r:?}"))
+            .iter()
+            .filter_map(|st| st.get("stage").and_then(Json::as_str).map(str::to_string))
+            .collect()
+    }
+
+    #[test]
+    fn a_result_hit_keeps_the_degradation_estimate() {
+        let svc = ExplainService::default();
+        svc.dispatch(&register_req());
+        let req = explain_req("s1", "SELECT * FROM songs WHERE popularity > 65");
+        // Cold, then warm: the warm run admits its result and is the
+        // latest full run.
+        for _ in 0..2 {
+            let r = svc.dispatch(&req);
+            assert!(!stages(&r).contains(&"Results".to_string()), "{r:?}");
+        }
+        let est = svc.estimated_explain_micros();
+        assert!(est > 0);
+        let r = svc.dispatch(&req);
+        assert_eq!(stages(&r), ["Results"], "{r:?}");
+        assert_eq!(svc.estimated_explain_micros(), est);
+    }
+
+    #[test]
+    fn degraded_results_never_answer_exact_explains() {
+        // More rows than the degraded sample, so sampling changes scores.
+        let demo =
+            json::parse(r#"{"cmd":"register_demo","session":"d","rows":6000,"seed":5}"#).unwrap();
+        let req = explain_req("d", "SELECT * FROM spotify WHERE popularity > 65");
+        let explanations = |r: &Json| r.get("explanations").map(Json::encode);
+        let exact = {
+            let fresh = ExplainService::default();
+            fresh.dispatch(&demo);
+            explanations(&fresh.dispatch(&req)).unwrap()
+        };
+        let svc = ExplainService::default();
+        svc.dispatch(&demo);
+        let degraded = JobContext {
+            degraded: true,
+            ..JobContext::default()
+        };
+        // Twice, so the second degraded run admits its result.
+        for _ in 0..2 {
+            let r = svc.dispatch_job(&req, &degraded);
+            assert_eq!(r.get("degraded"), Some(&Json::Bool(true)), "{r:?}");
+            assert_ne!(explanations(&r).as_ref(), Some(&exact));
+        }
+        // The first exact explain runs the pipeline, and by the third
+        // one an exact result answers; every one returns the exact bytes.
+        for run in 0..3 {
+            let r = svc.dispatch(&req);
+            assert_eq!(explanations(&r).as_ref(), Some(&exact), "run {run}");
+            let hit = stages(&r) == ["Results"];
+            match run {
+                0 => assert!(!hit, "{r:?}"),
+                2 => assert!(hit, "{r:?}"),
+                _ => {}
+            }
+        }
     }
 
     #[test]

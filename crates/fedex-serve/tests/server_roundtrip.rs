@@ -364,12 +364,16 @@ fn prometheus_scrape_is_valid_and_counts_every_request() {
         )))
         .unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
-    let r = client
-        .request(&req(&format!(
-            r#"{{"cmd":"explain","session":"p","sql":"{SQL}"}}"#
-        )))
-        .unwrap();
-    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    // Three identical explains: a cold run, a warm run that admits its
+    // result, and one answered from the cached result.
+    for _ in 0..3 {
+        let r = client
+            .request(&req(&format!(
+                r#"{{"cmd":"explain","session":"p","sql":"{SQL}"}}"#
+            )))
+            .unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    }
     let r = client.request(&req(r#"{"cmd":"ping"}"#)).unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
 
@@ -424,14 +428,58 @@ fn prometheus_scrape_is_valid_and_counts_every_request() {
             .unwrap_or_else(|| panic!("no series for cmd={cmd:?}"));
     }
     assert_eq!(hist_total, requests, "\n{text}");
-    // The one explain above drove every pipeline stage through its
-    // stage histogram.
+    // The explains above drove every pipeline stage, and the cached
+    // result's `Results` stage, through its stage histogram.
     for stage in fedex_obs::STAGES {
         let count = exp
             .value_with("fedex_stage_duration_seconds_count", "stage", stage)
             .unwrap_or_else(|| panic!("no series for stage={stage:?}"));
         assert!(count >= 1.0, "stage {stage} never observed");
     }
+    assert_eq!(
+        exp.value_with("fedex_stage_duration_seconds_count", "stage", "Results"),
+        Some(1.0),
+        "\n{text}"
+    );
+    // Cache lookups are labelled by artifact kind, and the labelled
+    // series add up to the JSON totals.
+    let cache = handle.service().manager().cache().metrics();
+    for (family, total) in [
+        ("fedex_cache_hits_total", cache.hits),
+        ("fedex_cache_misses_total", cache.misses),
+    ] {
+        assert_eq!(exp.types.get(family).map(String::as_str), Some("counter"));
+        for artifact in fedex_core::cache::ARTIFACTS {
+            assert!(
+                exp.value_with(family, "artifact", artifact).is_some(),
+                "no {family} series for artifact={artifact:?}\n{text}"
+            );
+        }
+        assert_eq!(exp.sum(family), Some(total as f64), "\n{text}");
+    }
+    // Cold, admit, hit: two result misses, then one hit.
+    assert_eq!(
+        exp.value_with("fedex_cache_hits_total", "artifact", "results"),
+        Some(1.0),
+        "\n{text}"
+    );
+    assert_eq!(
+        exp.value_with("fedex_cache_misses_total", "artifact", "results"),
+        Some(2.0),
+        "\n{text}"
+    );
+    let (_, body) = Client::http_get(&addr, "/metrics", "application/json").unwrap();
+    let by_artifact = json::parse(&body)
+        .unwrap()
+        .get("cache")
+        .and_then(|c| c.get("by_artifact"))
+        .cloned()
+        .unwrap_or_else(|| panic!("{body}"));
+    let results_hits = by_artifact
+        .get("results")
+        .and_then(|r| r.get("hits"))
+        .and_then(Json::as_f64);
+    assert_eq!(results_hits, Some(1.0), "{body}");
 
     // The flight-recorder HTTP endpoint serves the same dump as the
     // debug_dump command.
