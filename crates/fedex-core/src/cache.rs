@@ -28,7 +28,7 @@
 //!   them, so a sampled result never answers an exact request). A hit
 //!   skips all five stages, and the session's last step shares the `Arc`.
 //!
-//! Three admission rules keep the first three namespaces' working set
+//! Two admission rules keep the first three namespaces' working set
 //! resident:
 //!
 //! 1. **Second sighting.** Partition lists and results are inserted only
@@ -41,8 +41,11 @@
 //! 2. **Results use spare budget only.** A result is never admitted if
 //!    admitting it would evict anything, and results are the first
 //!    victims whenever another insert needs room.
-//! 3. **A result hit refreshes its inputs' frames**, so a table answered
-//!    from its results stays as warm as one whose steps still run.
+//!
+//! A coded frame is encoded once even under concurrent cold requests: the
+//! first request to miss claims the encode ([`ArtifactCache::claim_frames`])
+//! and the others wait for its frame instead of encoding the same table
+//! again.
 //!
 //! Entries are plain memoizations of pure functions of the key, so a hit
 //! can never change an explanation — only skip recomputing it; the
@@ -69,9 +72,9 @@
 //! counters, split by artifact kind, feed the server's `metrics` command
 //! and `GET /metrics`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use fedex_frame::{CodedFrame, Fingerprint, FpHasher};
@@ -200,6 +203,41 @@ struct Inner {
     map: HashMap<Key, Entry>,
     bytes: usize,
     clock: u64,
+    /// Content fingerprints whose coded frame a caller is encoding now.
+    encoding: HashSet<Fingerprint>,
+}
+
+/// One input's answer from [`ArtifactCache::claim_frames`].
+pub(crate) enum FrameLookup {
+    /// The frame is resident.
+    Hit(Arc<CodedFrame>),
+    /// The caller encodes the frame; its [`FrameClaims`] holds the claim.
+    Claimed,
+    /// Another caller is encoding the frame; see
+    /// [`ArtifactCache::wait_frame`].
+    Encoding,
+}
+
+/// The frames one caller of [`ArtifactCache::claim_frames`] is encoding.
+/// Dropping it, after `put_frame` or on unwind, wakes the callers
+/// waiting for them.
+pub(crate) struct FrameClaims<'a> {
+    cache: &'a ArtifactCache,
+    fps: Vec<Fingerprint>,
+}
+
+impl Drop for FrameClaims<'_> {
+    fn drop(&mut self) {
+        if self.fps.is_empty() {
+            return;
+        }
+        let mut inner = self.cache.lock();
+        for fp in &self.fps {
+            inner.encoding.remove(fp);
+        }
+        drop(inner);
+        self.cache.encoded.notify_all();
+    }
 }
 
 /// Monotonic counters of cache behaviour; all reads are `Relaxed` — the
@@ -249,6 +287,8 @@ pub struct CacheMetrics {
 /// with cost-aware eviction.
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
+    /// Signalled when claimed frame encodes finish.
+    encoded: Condvar,
     counters: Counters,
     budget: usize,
 }
@@ -276,6 +316,7 @@ impl ArtifactCache {
     pub fn with_budget(budget: usize) -> Self {
         ArtifactCache {
             inner: Mutex::new(Inner::default()),
+            encoded: Condvar::new(),
             counters: Counters::default(),
             budget,
         }
@@ -285,6 +326,55 @@ impl ArtifactCache {
     /// fingerprint, refreshing its recency.
     pub fn get_frame(&self, fp: Fingerprint) -> Option<Arc<CodedFrame>> {
         match self.get(Key::Frame(fp)) {
+            Some(Artifact::Frame(f)) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// Look up the coded frame of each input fingerprint, claiming the
+    /// encode of every one that is neither resident nor being encoded by
+    /// another caller, so concurrent requests over one cold table encode
+    /// it once. A fingerprint repeated in `fps` is claimed once; its
+    /// later occurrences are [`FrameLookup::Encoding`]. The caller encodes
+    /// its claims, puts them, drops the [`FrameClaims`], and only then
+    /// waits for the others' encodes, so a waiter never holds a claim.
+    pub(crate) fn claim_frames(&self, fps: &[Fingerprint]) -> (Vec<FrameLookup>, FrameClaims<'_>) {
+        let mut inner = self.lock();
+        let mut claimed = Vec::new();
+        let lookups = fps
+            .iter()
+            .map(|&fp| {
+                if inner.encoding.contains(&fp) {
+                    return FrameLookup::Encoding;
+                }
+                match self.lookup(&mut inner, Key::Frame(fp)) {
+                    Some(Artifact::Frame(f)) => FrameLookup::Hit(f),
+                    _ => {
+                        inner.encoding.insert(fp);
+                        claimed.push(fp);
+                        FrameLookup::Claimed
+                    }
+                }
+            })
+            .collect();
+        let claims = FrameClaims {
+            cache: self,
+            fps: claimed,
+        };
+        (lookups, claims)
+    }
+
+    /// The coded frame for `fp` once no caller is encoding it, refreshing
+    /// its recency; `None` if that encode failed or was not admitted.
+    pub(crate) fn wait_frame(&self, fp: Fingerprint) -> Option<Arc<CodedFrame>> {
+        let mut inner = self.lock();
+        while inner.encoding.contains(&fp) {
+            inner = self
+                .encoded
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        match self.lookup(&mut inner, Key::Frame(fp)) {
             Some(Artifact::Frame(f)) => Some(f),
             _ => None,
         }
@@ -392,7 +482,7 @@ impl ArtifactCache {
 
     /// Counter + occupancy snapshot.
     pub fn metrics(&self) -> CacheMetrics {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.lock();
         let by_artifact: [Lookups; 4] = std::array::from_fn(|i| Lookups {
             hits: self.counters.hits[i].load(Ordering::Relaxed),
             misses: self.counters.misses[i].load(Ordering::Relaxed),
@@ -411,13 +501,21 @@ impl ArtifactCache {
 
     /// Drop every entry (counters are kept — they are lifetime totals).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.map.clear();
         inner.bytes = 0;
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get(&self, key: Key) -> Option<Artifact> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        self.lookup(&mut self.lock(), key)
+    }
+
+    /// A counted lookup that refreshes the entry's recency.
+    fn lookup(&self, inner: &mut Inner, key: Key) -> Option<Artifact> {
         inner.clock += 1;
         let tick = inner.clock;
         match inner.map.get_mut(&key) {
@@ -439,7 +537,7 @@ impl ArtifactCache {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         if let Key::Results(_) = key {
             // A result takes only spare budget: it never evicts anything.
             let replaced = inner.map.get(&key).map_or(0, |old| old.bytes);
@@ -744,6 +842,45 @@ mod tests {
             [lookups(1, 0), lookups(0, 1), lookups(0, 1), lookups(1, 1)]
         );
         assert_eq!((m.hits, m.misses), (2, 3));
+    }
+
+    #[test]
+    fn concurrent_claims_encode_a_frame_once() {
+        let cache = ArtifactCache::default();
+        let df = frame(0, 100);
+        let fp = df.fingerprint();
+        let (lookups, claims) = cache.claim_frames(&[fp, fp]);
+        assert!(matches!(
+            lookups[..],
+            [FrameLookup::Claimed, FrameLookup::Encoding]
+        ));
+        let (lookups, _no_claims) = cache.claim_frames(&[fp]);
+        assert!(matches!(lookups[..], [FrameLookup::Encoding]));
+        let c = coded(&df);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.wait_frame(fp));
+            cache.put_frame(fp, c.clone(), FLAT_COST);
+            drop(claims);
+            let hit = waiter.join().unwrap().expect("the claimed encode");
+            assert!(Arc::ptr_eq(&hit, &c));
+        });
+        assert!(cache.lock().encoding.is_empty());
+        let m = cache.metrics();
+        assert_eq!((m.hits, m.misses), (1, 1));
+    }
+
+    #[test]
+    fn an_abandoned_claim_wakes_waiters_empty_handed() {
+        let cache = ArtifactCache::default();
+        let fp = frame(0, 100).fingerprint();
+        let (_, claims) = cache.claim_frames(&[fp]);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.wait_frame(fp));
+            drop(claims);
+            assert!(waiter.join().unwrap().is_none());
+        });
+        let (lookups, _claims) = cache.claim_frames(&[fp]);
+        assert!(matches!(lookups[..], [FrameLookup::Claimed]));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use partition::{
 };
 pub use pipeline::{ExecutionMode, ExplainPipeline, PipelineContext, Stage, StageReport};
 pub use session::{
-    Session, SessionEntry, SessionManager, SessionStats, StepSummary, SESSION_BUDGET,
+    Session, SessionEntry, SessionManager, SessionStats, StepSummary, RESULTS_STAGE, SESSION_BUDGET,
 };
 // Re-exported for the serving layer: degraded (FEDEX-Sampling) responses
 // report this bound without a direct fedex-stats dependency.

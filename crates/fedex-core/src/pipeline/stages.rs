@@ -11,7 +11,7 @@ use fedex_frame::{CodedColumn, CodedFrame, Fingerprint, FpHasher};
 use fedex_query::{ExploratoryStep, Operation, Provenance};
 use fedex_stats::descriptive::mean_and_std;
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, FrameLookup};
 use crate::caption::{diversity_caption, exceptionality_caption};
 use crate::contribution::{standardized, ContributionComputer};
 use crate::error::ExplainError;
@@ -93,6 +93,8 @@ fn encode_inputs_cold(
 
 /// [`encode_inputs`] against a cross-request cache: warm inputs reuse
 /// their cached [`CodedFrame`], only cold ones are encoded and inserted.
+/// An input another request is encoding right now is waited for, not
+/// encoded again (see [`ArtifactCache::claim_frames`]).
 ///
 /// The batch encode is timed and each inserted frame carries its share of
 /// that measured cost (proportional to its coded size) — the rebuild cost
@@ -106,33 +108,38 @@ fn encode_inputs_cached(
     cache: &ArtifactCache,
     fps: &[Fingerprint],
 ) -> (CodedInputs, Vec<(String, bool)>) {
-    let warm: Vec<Option<Arc<CodedFrame>>> = fps.iter().map(|&fp| cache.get_frame(fp)).collect();
-    let events: Vec<(String, bool)> = warm
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (format!("frame[{i}]"), w.is_some()))
-        .collect();
+    let (lookups, claims) = cache.claim_frames(fps);
+    let claimed = |i: usize| matches!(lookups[i], FrameLookup::Claimed);
     let t_encode = Instant::now();
-    let fresh = encode_inputs_cold(step, mode, |i| warm[i].is_none());
+    let fresh = encode_inputs_cold(step, mode, claimed);
     let encode_elapsed = t_encode.elapsed();
-    let cold_bytes: usize = warm
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| w.is_none())
-        .map(|(i, _)| fresh[i].approx_bytes())
+    let cold_bytes: usize = (0..fps.len())
+        .filter(|&i| claimed(i))
+        .map(|i| fresh[i].approx_bytes())
         .sum();
-    let frames: Vec<CodedFrame> = warm
+    for i in (0..fps.len()).filter(|&i| claimed(i)) {
+        let share = fresh[i].approx_bytes() as f64 / cold_bytes.max(1) as f64;
+        let rebuild = Duration::from_secs_f64(encode_elapsed.as_secs_f64() * share);
+        cache.put_frame(fps[i], Arc::new(fresh[i].clone()), rebuild);
+    }
+    drop(claims);
+    let mut events = Vec::with_capacity(fps.len());
+    let frames: Vec<CodedFrame> = lookups
         .iter()
         .enumerate()
-        .map(|(i, w)| match w {
-            // Cheap: a CodedFrame clone copies names + column `Arc`s.
-            Some(hit) => (**hit).clone(),
-            None => {
-                let frame = fresh[i].clone();
-                let share = frame.approx_bytes() as f64 / cold_bytes.max(1) as f64;
-                let rebuild = Duration::from_secs_f64(encode_elapsed.as_secs_f64() * share);
-                cache.put_frame(fps[i], Arc::new(frame.clone()), rebuild);
-                frame
+        .map(|(i, lookup)| {
+            let warm = match lookup {
+                FrameLookup::Hit(hit) => Some(hit.clone()),
+                FrameLookup::Claimed => None,
+                FrameLookup::Encoding => cache.wait_frame(fps[i]),
+            };
+            events.push((format!("frame[{i}]"), warm.is_some()));
+            match warm {
+                // Cheap: a CodedFrame clone copies names + column `Arc`s.
+                Some(hit) => (*hit).clone(),
+                None if claimed(i) => fresh[i].clone(),
+                // The other request's encode failed or was not admitted.
+                None => encode_inputs_cold(step, mode, |j| j == i)[i].clone(),
             }
         })
         .collect();

@@ -59,6 +59,10 @@ use crate::StageReport;
 /// `register` at most about 0.7 GB.
 pub const SESSION_BUDGET: usize = 2 << 30;
 
+/// The stage name of the one-entry trace of a step answered from the
+/// artifact cache's results.
+pub const RESULTS_STAGE: &str = "Results";
+
 /// The fixed charge per session: its map slot, explainer configuration
 /// and empty catalog.
 const SESSION_BYTES: usize = 4 << 10;
@@ -181,7 +185,7 @@ impl Session {
     /// FEDEX-Sampling without touching the session's base configuration.
     ///
     /// A step answered from the artifact cache's results reports one
-    /// `Results` stage with a `("results", true)` cache event.
+    /// [`RESULTS_STAGE`] stage with a `("results", true)` cache event.
     pub fn run_traced_configured(
         &mut self,
         sql: &str,
@@ -311,11 +315,9 @@ impl Session {
 }
 
 /// Explain `step` under `fedex`, answering a repeat from the configured
-/// artifact cache's results (see [`crate::cache`]). A hit refreshes the
-/// inputs' coded frames, one lookup each, so a table whose steps are all
-/// answered from results stays as resident as one whose steps still run.
-/// A miss runs the pipeline, and inserts its result when ScoreColumns
-/// found the step's kernels cached: the step's second sighting.
+/// artifact cache's results (see [`crate::cache`]). A miss runs the
+/// pipeline, and inserts its result when ScoreColumns found the step's
+/// kernels cached: the step's second sighting.
 fn explain_memoized(
     fedex: &Fedex,
     step: &ExploratoryStep,
@@ -327,11 +329,8 @@ fn explain_memoized(
     let t = Instant::now();
     let key = results_key(step, fedex.config());
     if let Some(hit) = cache.get_results(key) {
-        for df in &step.inputs {
-            cache.get_frame(df.fingerprint());
-        }
         let report = StageReport {
-            stage: "Results",
+            stage: RESULTS_STAGE,
             elapsed: t.elapsed(),
             items: hit.len(),
             sub: Vec::new(),
@@ -783,7 +782,7 @@ mod tests {
             .run_traced_configured(FILTER, Some("popular".to_string()), |_| {})
             .unwrap();
         assert_eq!(trace.len(), 1, "{trace:?}");
-        assert_eq!(trace[0].stage, "Results");
+        assert_eq!(trace[0].stage, RESULTS_STAGE);
         assert_eq!(trace[0].items, hit.explanations.len());
         assert_eq!(results(&trace), vec![true]);
         // The entry, the session's last step and the cache share one Arc.

@@ -102,6 +102,7 @@ fn concurrent_sessions_match_uncached_serial_run() {
     // hits; and every thread's third run of a SQL found its result.
     let m = mgr.cache().metrics();
     assert!(m.hits > 0, "{m:?}");
+    assert_eq!(m.by_artifact[0].misses, 1, "{m:?}");
     assert!(
         m.by_artifact[3].hits >= (THREADS * SQLS.len()) as u64,
         "{m:?}"

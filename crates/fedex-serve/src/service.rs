@@ -35,7 +35,7 @@ use std::time::Instant;
 use fedex_core::cache::ARTIFACTS;
 use fedex_core::{
     sampling_error_bound, to_json_array, CancelToken, ExplainError, SessionManager, StageReport,
-    MAX_WIDTH,
+    MAX_WIDTH, RESULTS_STAGE,
 };
 use fedex_frame::{Column, DataFrame};
 use fedex_obs::{parse_trace_id, trace_id_str, HistSnapshot, Obs, PromWriter};
@@ -809,7 +809,7 @@ impl ExplainService {
             fields.push(("sample_size", n(DEGRADE_SAMPLE_SIZE as f64)));
             fields.push(("error_bound", n(sampling_error_bound(DEGRADE_SAMPLE_SIZE))));
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-        } else if !trace.iter().any(|r| r.stage == "Results") {
+        } else if !trace.iter().any(|r| r.stage == RESULTS_STAGE) {
             // Full runs refresh the cold-run cost estimate the scheduler
             // uses for deadline-driven degradation; a result answered from
             // the cache says nothing about what a run costs.
@@ -1284,6 +1284,11 @@ mod tests {
     }
 
     #[test]
+    fn the_results_stage_has_a_stage_histogram() {
+        assert!(fedex_obs::STAGES.contains(&RESULTS_STAGE));
+    }
+
+    #[test]
     fn a_result_hit_keeps_the_degradation_estimate() {
         let svc = ExplainService::default();
         svc.dispatch(&register_req());
@@ -1292,12 +1297,12 @@ mod tests {
         // latest full run.
         for _ in 0..2 {
             let r = svc.dispatch(&req);
-            assert!(!stages(&r).contains(&"Results".to_string()), "{r:?}");
+            assert!(!stages(&r).contains(&RESULTS_STAGE.to_string()), "{r:?}");
         }
         let est = svc.estimated_explain_micros();
         assert!(est > 0);
         let r = svc.dispatch(&req);
-        assert_eq!(stages(&r), ["Results"], "{r:?}");
+        assert_eq!(stages(&r), [RESULTS_STAGE], "{r:?}");
         assert_eq!(svc.estimated_explain_micros(), est);
     }
 
@@ -1330,7 +1335,7 @@ mod tests {
         for run in 0..3 {
             let r = svc.dispatch(&req);
             assert_eq!(explanations(&r).as_ref(), Some(&exact), "run {run}");
-            let hit = stages(&r) == ["Results"];
+            let hit = stages(&r) == [RESULTS_STAGE];
             match run {
                 0 => assert!(!hit, "{r:?}"),
                 2 => assert!(hit, "{r:?}"),
