@@ -358,12 +358,47 @@ impl<'a> ContributionComputer<'a> {
 
 /// Standardized contribution `C̄(R, A) = (C − μ) / s` over the slots of one
 /// partition (§3.6). A zero standard deviation yields all-zero scores.
+///
+/// Deviations from the exact mean sum to zero; those from the rounded `μ`
+/// leave a drift. While the drift is at most `1e-10 · s` (any spread well
+/// above rounding), the scores are the plain formula's. Otherwise the
+/// spread is mostly rounding of `μ`: the drift is subtracted and `s`
+/// measured again. Values equal up to rounding then score as equal, and
+/// no score exceeds [`max_standardized`] by more than `1e-10` plus float
+/// rounding.
 pub fn standardized(raw: &[f64]) -> Vec<f64> {
-    let (mu, sd) = mean_and_std(raw);
-    if sd == 0.0 {
-        return vec![0.0; raw.len()];
+    let (mu, mut sd) = mean_and_std(raw);
+    let mut dev: Vec<f64> = raw.iter().map(|c| c - mu).collect();
+    // A pass leaves only the rounding of the drift it removed, so one or
+    // two passes settle; three bound the loop.
+    for _ in 0..3 {
+        if sd == 0.0 {
+            return vec![0.0; raw.len()];
+        }
+        let drift = dev.iter().sum::<f64>() / dev.len() as f64;
+        // False for non-finite input, which keeps the plain formula.
+        if drift.abs() > 1e-10 * sd {
+            dev.iter_mut().for_each(|d| *d -= drift);
+            sd = (dev.iter().map(|d| d * d).sum::<f64>() / (dev.len() - 1) as f64).sqrt();
+            continue;
+        }
+        dev.iter_mut().for_each(|d| *d /= sd);
+        return dev;
     }
-    raw.iter().map(|c| (c - mu) / sd).collect()
+    // Still drifting: the spread cannot be told from rounding.
+    vec![0.0; raw.len()]
+}
+
+/// The largest score [`standardized`] can give over `n` slots. It divides
+/// by the sample standard deviation, so by Samuelson's inequality no
+/// z-score exceeds `(n − 1)/√n`; one outlier against `n − 1` equal values
+/// reaches it. Zero for `n < 2`, where every score is zero.
+pub fn max_standardized(n: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    let n = n as f64;
+    (n - 1.0) / n.sqrt()
 }
 
 #[cfg(test)]
@@ -705,6 +740,55 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert!((c_fast - c_slow).abs() < 1e-9, "set {s}");
+        }
+    }
+
+    #[test]
+    fn max_standardized_small_n() {
+        assert_eq!(max_standardized(0), 0.0);
+        assert_eq!(max_standardized(1), 0.0);
+        assert_eq!(standardized(&[3.5]), vec![0.0]);
+        assert!((max_standardized(2) - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-15);
+        let z = standardized(&[2.0, -1.0]);
+        assert!((z[0] - max_standardized(2)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_outlier_reaches_the_bound() {
+        for n in [3usize, 7, 40] {
+            let mut raw = vec![0.25; n];
+            raw[n / 2] = 9.0;
+            let z = standardized(&raw);
+            let bound = max_standardized(n);
+            assert!(
+                (z[n / 2] - bound).abs() < 1e-12,
+                "n {n}: {} vs {bound}",
+                z[n / 2]
+            );
+            assert!(z.iter().all(|&x| x <= bound + 1e-12));
+        }
+    }
+
+    #[test]
+    fn all_equal_scores_are_zero() {
+        // The rounded mean of six 0.4s is not 0.4, so the deviations from
+        // it are equal and nonzero; the scores must still be zero.
+        assert_eq!(standardized(&[0.4; 6]), vec![0.0; 6]);
+    }
+
+    #[test]
+    fn spread_at_rounding_scale_is_still_exact() {
+        // One value one ulp above n − 1 equal ones: its exact z-score is
+        // the bound, whatever the rounding of the mean.
+        for x in [0.1f64, 0.4, 0.7, 1.0 / 3.0, 123.456] {
+            for n in [3usize, 4, 5, 6, 11] {
+                let mut raw = vec![x; n];
+                raw[n - 1] = f64::from_bits(x.to_bits() + 1);
+                let z = standardized(&raw);
+                let bound = max_standardized(n);
+                assert!((z[n - 1] - bound).abs() < 1e-9, "x {x} n {n}: {z:?}");
+                assert!(z.iter().all(|&v| v <= bound * (1.0 + 1e-9)), "x {x} n {n}");
+            }
         }
     }
 }

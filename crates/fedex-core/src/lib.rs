@@ -43,7 +43,7 @@ pub mod viz;
 
 pub use cache::{ArtifactCache, CacheMetrics, DEFAULT_CACHE_BUDGET};
 pub use cancel::CancelToken;
-pub use contribution::{standardized, ContributionComputer};
+pub use contribution::{max_standardized, standardized, ContributionComputer};
 pub use error::ExplainError;
 pub use explain::{render_all, to_json_array, CustomMeasure, Explanation, Fedex, FedexConfig};
 pub use hist::{ks_sub_counts, CodedHist, ValueHist};

@@ -81,20 +81,24 @@ pub struct Candidate {
 }
 
 /// Output of the **Contribute** stage: all candidates with positive raw
-/// contribution (Algorithm 1, step 3).
+/// contribution of every unit not pruned by the skyline bound
+/// (Algorithm 1, step 3).
 #[derive(Debug, Clone, Default)]
 pub struct Contributed {
     /// Upstream artifact, passed through.
     pub scored: ScoredColumns,
     /// Upstream partitions, passed through.
     pub partitions: Vec<RowPartition>,
-    /// Positive-contribution candidates, in deterministic
-    /// (partition, column, slot) order.
+    /// Positive-contribution candidates of every `(partition, column)`
+    /// unit not pruned by the skyline bound, in (partition, column, slot)
+    /// order. A pruned unit could only have added dominated candidates,
+    /// so the skyline is that of the exhaustive list; how many units are
+    /// pruned can vary with the schedule under `Threads(n > 1)`.
     pub candidates: Vec<Candidate>,
     /// Indices into `candidates` of the skyline, computed *streaming*
     /// while contribution work units finished (the fused
-    /// Contribute→Skyline path). `None` on hand-built artifacts and the
-    /// custom-measure path; the Skyline stage then computes it batch.
+    /// Contribute→Skyline path). `None` on hand-built artifacts; the
+    /// Skyline stage then computes it batch.
     /// Sorted ascending, so it is deterministic regardless of work-unit
     /// completion order.
     pub skyline: Option<Vec<usize>>,

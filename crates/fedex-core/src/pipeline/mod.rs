@@ -17,14 +17,17 @@
 //! pairs in `ScoreColumns`, over `(input, attribute)` pairs in
 //! `PartitionRows`, and over flattened `(partition, column)` work units
 //! in `Contribute` (with the skyline fused in: units stream their
-//! candidates into an incremental dominance check as they finish, and
+//! candidates into an incremental dominance check as they finish, a unit
+//! whose best possible point is already dominated is skipped, and
 //! leftover threads shard the histogram scatter *inside* a kernel when
 //! units alone cannot fill the budget) — scheduled by [`par::par_map`]
 //! under the [`ExecutionMode`] chosen in
 //! [`FedexConfig::execution`](crate::FedexConfig). Results are identical
 //! under every mode: parallel maps preserve input order, shard merges are
 //! deterministic, and strict dominance is schedule-independent, so the
-//! artifact chain is bit-for-bit the same.
+//! skyline, the ranking and the explanations are bit-for-bit the same.
+//! Only the count of candidates Contribute builds can vary with the
+//! schedule under more than one thread.
 //!
 //! [`ExplainPipeline`] is the orchestrator used by
 //! [`Fedex::explain`](crate::Fedex::explain); it can also report

@@ -13,7 +13,7 @@ use fedex_stats::descriptive::mean_and_std;
 
 use crate::cache::{ArtifactCache, FrameLookup};
 use crate::caption::{diversity_caption, exceptionality_caption};
-use crate::contribution::{standardized, ContributionComputer};
+use crate::contribution::{max_standardized, standardized, ContributionComputer};
 use crate::error::ExplainError;
 use crate::explain::{CustomMeasure, Explanation};
 use crate::interestingness::{score_all_columns_coded, InterestingnessKind};
@@ -493,32 +493,43 @@ impl Stage for PartitionRows {
 /// How the Contribute stage computes per-set contributions.
 pub enum Contributor<'m> {
     /// The provenance-based incremental kernels of
-    /// [`ContributionComputer`], data-parallel over partitions.
+    /// [`ContributionComputer`], data-parallel over `(partition, column)`
+    /// units.
     Incremental,
     /// Literal Def. 3.3 re-runs under a user-supplied measure (§3.8).
-    /// Trait objects carry no `Sync` bound, so this path runs serially —
-    /// it is the slow path by construction anyway.
+    /// Trait objects carry no `Sync` bound, so this path runs its units
+    /// serially — it is the slow path by construction anyway.
     Custom(&'m dyn CustomMeasure),
 }
 
 /// Step 3 of Algorithm 1: contribution of every set-of-rows to every
 /// top-scored column; candidates are kept when the raw contribution is
-/// positive, and standardized within their partition.
+/// positive and its standardized value (within the partition) is a
+/// number.
 ///
-/// The incremental back-end schedules a **flattened
-/// `(partition, column)` work list** through `par_map` (not one coarse
-/// unit per partition), so a step with few partitions but many scored
-/// columns still saturates the thread budget. When even the flattened
-/// list is shorter than the budget, the leftover threads shard the
-/// scatter *inside* each kernel (see
+/// Work is a **flattened `(partition, column)` unit list**, scheduled
+/// through `par_map` (not one coarse unit per partition), so a step with
+/// few partitions but many scored columns still saturates the thread
+/// budget. When even the flattened list is shorter than the budget, the
+/// leftover threads shard the scatter *inside* each kernel (see
 /// [`ContributionComputer::with_intra_mode`]); the two levels never
-/// multiply past `ctx.mode().threads()`.
+/// multiply past `ctx.mode().threads()`. The custom-measure back-end runs
+/// the same unit loop serially.
 ///
 /// The stage is also **fused with Skyline**: each finished unit streams
 /// its candidates into a [`StreamingSkyline`], so dominance checks
 /// overlap contribution computation and [`Contributed::skyline`] arrives
-/// already computed. Strict dominance is order-independent, so the fused
-/// result is bit-identical to the batch operator.
+/// already computed. That skyline also **prunes** units before they run.
+/// No z-score of a unit with `n` slots exceeds
+/// [`max_standardized`]`(n)`, so once a resident point strictly dominates
+/// `(I_column, max_standardized(n))`, every candidate the unit could
+/// produce would be dominated too, and the unit is skipped. Units run
+/// column-major in descending interestingness (the order of
+/// [`ScoredColumns::top`](super::artifacts::ScoredColumns::top)), and
+/// within a column in descending slot count, so the skyline fills before
+/// the low-I units come up. Strict dominance is transitive, so the final
+/// skyline is the one of the exhaustive candidate list, under any
+/// schedule; only the number of candidates built depends on it.
 pub struct Contribute<'m> {
     /// Contribution back-end.
     pub contributor: Contributor<'m>,
@@ -538,30 +549,20 @@ fn intra_partition_mode(mode: ExecutionMode, n_units: usize) -> ExecutionMode {
     }
 }
 
-/// All positive-contribution candidates of one partition, in
-/// (column, slot) order. `contributions` yields the per-slot raw
-/// contributions of one column, or `None` when the measure does not apply.
-fn candidates_of_partition(
-    top: &[(String, f64)],
-    partition: &RowPartition,
-    mut contributions: impl FnMut(&str) -> Result<Option<Vec<f64>>>,
-) -> Result<Vec<(usize, usize, f64, f64)>> {
-    let mut out = Vec::new();
-    for (ci, (column, _)) in top.iter().enumerate() {
-        let Some(raw) = contributions(column)? else {
-            continue;
-        };
-        let std = standardized(&raw);
-        // The ignore-set (last slot, when present) participates in
-        // standardization but never becomes a candidate.
-        for slot in 0..partition.n_sets() {
-            if raw[slot] > 0.0 {
-                out.push((ci, slot, raw[slot], std[slot]));
-            }
-        }
-    }
-    Ok(out)
+/// The `(partition, column)` units in the order Contribute runs them:
+/// column-major over `top` (descending I), and within a column by
+/// descending slot count, ties in partition order.
+fn unit_schedule(n_columns: usize, partitions: &[RowPartition]) -> Vec<(usize, usize)> {
+    let mut by_slots: Vec<usize> = (0..partitions.len()).collect();
+    by_slots.sort_by_key(|&pi| std::cmp::Reverse(ContributionComputer::n_slots(&partitions[pi])));
+    (0..n_columns)
+        .flat_map(|ci| by_slots.iter().map(move |&pi| (pi, ci)))
+        .collect()
 }
+
+/// Per-slot raw contributions of one partition to one column, or `None`
+/// when the measure does not apply to the column.
+type Contributions<'a> = dyn Fn(&RowPartition, &str) -> Result<Option<Vec<f64>>> + 'a;
 
 impl Stage for Contribute<'_> {
     type Input = Partitioned;
@@ -575,14 +576,54 @@ impl Stage for Contribute<'_> {
         let Partitioned {
             scored, partitions, ..
         } = input;
-        match &self.contributor {
+        let units = unit_schedule(scored.top.len(), &partitions);
+        let sky: Mutex<StreamingSkyline<(usize, usize, usize)>> =
+            Mutex::new(StreamingSkyline::new());
+        // One unit: its `(slot, raw, std)` candidates, or none when the
+        // skyline bound prunes it or the measure does not apply.
+        let run_unit = |&(pi, ci): &(usize, usize),
+                        contributions: &Contributions<'_>|
+         -> Result<Vec<(usize, f64, f64)>> {
+            // Work-unit cancellation checkpoint: an expired deadline
+            // abandons the Contribute stage within one unit.
+            ctx.check_cancel()?;
+            let partition = &partitions[pi];
+            let (column, interestingness) = &scored.top[ci];
+            // `standardized` may pass the bound by its drift allowance
+            // (at most 1e-10) plus float rounding; the relative slack
+            // covers both, so no point that would survive is pruned.
+            let bound = max_standardized(ContributionComputer::n_slots(partition)) * (1.0 + 1e-9);
+            if sky
+                .lock()
+                .expect("skyline lock")
+                .dominates((*interestingness, bound))
+            {
+                return Ok(Vec::new());
+            }
+            let Some(raw) = contributions(partition, column)? else {
+                return Ok(Vec::new());
+            };
+            let std = standardized(&raw);
+            debug_assert!(
+                std.iter().all(|&z| z <= bound || z.is_nan()),
+                "z-score above max_standardized: {std:?}"
+            );
+            // The ignore-set (last slot, when present) joins
+            // standardization but never becomes a candidate. Nor does a
+            // non-finite z (from a non-finite raw contribution), which no
+            // skyline comparison could order.
+            let unit: Vec<(usize, f64, f64)> = (0..partition.n_sets())
+                .filter(|&slot| raw[slot] > 0.0 && std[slot].is_finite())
+                .map(|slot| (slot, raw[slot], std[slot]))
+                .collect();
+            let mut sky = sky.lock().expect("skyline lock");
+            for &(slot, _, std) in &unit {
+                sky.insert((pi, ci, slot), (*interestingness, std));
+            }
+            Ok(unit)
+        };
+        let mut per_unit: Vec<Vec<(usize, f64, f64)>> = match &self.contributor {
             Contributor::Incremental => {
-                // Flattened (partition, column) units, partition-major so
-                // reassembly below preserves the historical deterministic
-                // (partition, column, slot) candidate order.
-                let units: Vec<(usize, usize)> = (0..partitions.len())
-                    .flat_map(|pi| (0..scored.top.len()).map(move |ci| (pi, ci)))
-                    .collect();
                 let computer = ContributionComputer::with_shared(
                     ctx.step,
                     ctx.kind,
@@ -590,94 +631,54 @@ impl Stage for Contribute<'_> {
                     scored.kernels.clone(),
                 )
                 .with_intra_mode(intra_partition_mode(ctx.mode(), units.len()));
-                // Fused Skyline: finished units stream their candidates in
-                // completion order; order-independence of strict dominance
-                // makes the surviving key set deterministic anyway.
-                let sky: Mutex<StreamingSkyline<(usize, usize, usize)>> =
-                    Mutex::new(StreamingSkyline::new());
-                let per_unit: Vec<Vec<(usize, f64, f64)>> =
-                    try_par_map(ctx.mode(), &units, |&(pi, ci)| -> Result<_> {
-                        // Work-unit cancellation checkpoint: an expired
-                        // deadline abandons the Contribute stage within
-                        // one (partition, column) unit.
-                        ctx.check_cancel()?;
-                        let partition = &partitions[pi];
-                        let (column, interestingness) = &scored.top[ci];
-                        let Some(raw) = computer.contributions(partition, column)? else {
-                            return Ok(Vec::new());
-                        };
-                        let std = standardized(&raw);
-                        // The ignore-set (last slot, when present) joins
-                        // standardization but never becomes a candidate.
-                        let unit: Vec<(usize, f64, f64)> = (0..partition.n_sets())
-                            .filter(|&slot| raw[slot] > 0.0)
-                            .map(|slot| (slot, raw[slot], std[slot]))
-                            .collect();
-                        let mut sky = sky.lock().expect("skyline lock");
-                        for &(slot, _, std) in &unit {
-                            sky.insert((pi, ci, slot), (*interestingness, std));
-                        }
-                        Ok(unit)
-                    })?;
-                let mut candidates = Vec::new();
-                for (&(pi, ci), unit) in units.iter().zip(per_unit) {
-                    for (slot, raw, std) in unit {
-                        candidates.push(Candidate {
-                            partition: pi,
-                            slot,
-                            column: ci,
-                            raw,
-                            std,
-                        });
-                    }
-                }
-                let survivors = sky.into_inner().expect("skyline lock").into_keys();
-                let skyline = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| survivors.contains(&(c.partition, c.column, c.slot)))
-                    .map(|(i, _)| i)
-                    .collect();
-                Ok(Contributed {
-                    scored,
-                    partitions,
-                    candidates,
-                    skyline: Some(skyline),
-                })
+                try_par_map(ctx.mode(), &units, |unit| {
+                    run_unit(unit, &|p, column| computer.contributions(p, column))
+                })?
             }
-            // Serial: `&dyn CustomMeasure` is not `Sync`. Def. 3.3 re-runs
-            // dominate the cost here, so nothing is fused either — the
-            // Skyline stage computes the batch skyline from scratch.
-            Contributor::Custom(measure) => {
-                let per_partition: Vec<Vec<(usize, usize, f64, f64)>> = partitions
-                    .iter()
-                    .map(|p| {
-                        ctx.check_cancel()?;
-                        candidates_of_partition(&scored.top, p, |column| {
-                            custom_contributions(ctx.step, *measure, p, column)
-                        })
+            // Serial: `&dyn CustomMeasure` is not `Sync`.
+            Contributor::Custom(measure) => units
+                .iter()
+                .map(|unit| {
+                    run_unit(unit, &|p, column| {
+                        custom_contributions(ctx.step, *measure, p, column)
                     })
-                    .collect::<Result<_>>()?;
-                let mut candidates = Vec::new();
-                for (pi, partial) in per_partition.into_iter().enumerate() {
-                    for (ci, slot, raw, std) in partial {
-                        candidates.push(Candidate {
-                            partition: pi,
-                            slot,
-                            column: ci,
-                            raw,
-                            std,
-                        });
-                    }
-                }
-                Ok(Contributed {
-                    scored,
-                    partitions,
-                    candidates,
-                    skyline: None,
                 })
+                .collect::<Result<_>>()?,
+        };
+        // Reassemble in (partition, column, slot) order, whatever the
+        // schedule: Skyline's stable sort and Present's dedup see the
+        // same relative order as an exhaustive run.
+        let n_columns = scored.top.len();
+        let mut position = vec![0usize; units.len()];
+        for (at, &(pi, ci)) in units.iter().enumerate() {
+            position[pi * n_columns + ci] = at;
+        }
+        let mut candidates = Vec::new();
+        for (key, &at) in position.iter().enumerate() {
+            let (partition, column) = (key / n_columns, key % n_columns);
+            for (slot, raw, std) in std::mem::take(&mut per_unit[at]) {
+                candidates.push(Candidate {
+                    partition,
+                    slot,
+                    column,
+                    raw,
+                    std,
+                });
             }
         }
+        let survivors = sky.into_inner().expect("skyline lock").into_keys();
+        let skyline = candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| survivors.contains(&(c.partition, c.column, c.slot)))
+            .map(|(i, _)| i)
+            .collect();
+        Ok(Contributed {
+            scored,
+            partitions,
+            candidates,
+            skyline: Some(skyline),
+        })
     }
 }
 
@@ -749,9 +750,8 @@ impl Stage for Skyline {
             candidates,
             skyline,
         } = input;
-        // The fused Contribute path already streamed the skyline; only
-        // hand-built artifacts and the custom-measure path pay the batch
-        // O(n²) pass here.
+        // Contribute already streamed the skyline; only hand-built
+        // artifacts pay the batch O(n²) pass here.
         let mut order = match skyline {
             Some(streamed) => {
                 #[cfg(debug_assertions)]

@@ -55,14 +55,20 @@ impl<K: Eq + Hash + Copy> StreamingSkyline<K> {
         StreamingSkyline { points: Vec::new() }
     }
 
+    /// True when some resident point is strictly greater than `point` in
+    /// both coordinates, so [`Self::insert`] would drop it. Since strict
+    /// dominance is transitive, such a point can never reach the final
+    /// skyline, whatever is inserted later.
+    pub fn dominates(&self, point: (f64, f64)) -> bool {
+        self.points
+            .iter()
+            .any(|&(_, q)| q.0 > point.0 && q.1 > point.1)
+    }
+
     /// Offer one keyed point; dominated points (incoming or resident) are
     /// dropped immediately.
     pub fn insert(&mut self, key: K, point: (f64, f64)) {
-        if self
-            .points
-            .iter()
-            .any(|&(_, q)| q.0 > point.0 && q.1 > point.1)
-        {
+        if self.dominates(point) {
             return;
         }
         self.points
@@ -200,6 +206,19 @@ mod tests {
                 assert_eq!(got, batch);
             }
         }
+    }
+
+    #[test]
+    fn dominates_needs_strictly_greater_in_both() {
+        let mut sky = StreamingSkyline::new();
+        sky.insert(0usize, (0.5, 1.0));
+        // A tie in I never prunes.
+        assert!(!sky.dominates((0.5, 0.2)));
+        // A tie in C̄ never prunes.
+        assert!(!sky.dominates((0.1, 1.0)));
+        // Strictly below in both does.
+        assert!(sky.dominates((0.4, 0.9)));
+        assert!(!sky.dominates((f64::NAN, 0.0)));
     }
 
     #[test]

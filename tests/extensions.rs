@@ -175,3 +175,49 @@ fn target_columns_compose_with_custom_partitions() {
     let ex = fedex.explain_with_partitions(&step, vec![]).unwrap();
     assert!(ex.iter().all(|e| e.column == "loudness"));
 }
+
+/// A custom measure that is infinite on some reduced steps leaves every
+/// standardized contribution of that unit non-finite. No skyline
+/// comparison orders such a pair, so it is never an explanation, while
+/// the finite column still explains.
+#[test]
+fn non_finite_contributions_never_explain() {
+    /// The kept share of input rows; for `year`, infinite once an
+    /// even-sized set was removed.
+    struct Spiky {
+        full: usize,
+    }
+    impl CustomMeasure for Spiky {
+        fn name(&self) -> &str {
+            "spiky"
+        }
+        fn score(&self, step: &ExploratoryStep, column: &str) -> fedex::core::Result<Option<f64>> {
+            let n = step.inputs[0].n_rows();
+            Ok(Some(match column {
+                "year" if n != self.full && n.is_multiple_of(2) => f64::INFINITY,
+                _ => n as f64 / self.full as f64,
+            }))
+        }
+    }
+    let wb = workbench();
+    let step = filter_step(&wb);
+    let measure = Spiky {
+        full: step.inputs[0].n_rows(),
+    };
+    let ex = Fedex::with_config(FedexConfig {
+        target_columns: Some(vec!["loudness".to_string(), "year".to_string()]),
+        set_counts: vec![5],
+        ..Default::default()
+    })
+    .explain_with_measure(&step, &measure)
+    .unwrap();
+    assert!(ex.iter().any(|e| e.column == "loudness"));
+    for e in &ex {
+        assert!(
+            e.std_contribution.is_finite(),
+            "{} / {}",
+            e.column,
+            e.set_label
+        );
+    }
+}

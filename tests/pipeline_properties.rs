@@ -2,9 +2,12 @@
 //! dataframes and operations must uphold the paper's definitional
 //! invariants (Defs. 3.3, 3.8, §3.6).
 
+use std::collections::BTreeSet;
+
+use fedex::core::pipeline::{Contribute, Contributor, PartitionRows, ScoreColumns, Skyline};
 use fedex::core::{
-    build_partitions_for_attr, standardized, ContributionComputer, Fedex, InterestingnessKind,
-    IGNORE,
+    build_partitions_for_attr, skyline_indices, standardized, ContributionComputer, ExecutionMode,
+    ExplainPipeline, Fedex, FedexConfig, InterestingnessKind, Stage, IGNORE,
 };
 use fedex::frame::{Column, DataFrame};
 use fedex::query::{Aggregate, ExploratoryStep, Expr, Operation};
@@ -25,8 +28,129 @@ fn arb_frame() -> impl Strategy<Value = DataFrame> {
     })
 }
 
+/// [`arb_frame`] plus two more partitionable columns, so a filter on `k`
+/// leaves more `(partition, column)` units for the skyline bound to prune.
+fn arb_wide_frame() -> impl Strategy<Value = DataFrame> {
+    let row = (0u8..4, 0i64..6, -50i64..50, 0i64..20, 0u8..3);
+    proptest::collection::vec(row, 4..80).prop_map(|rows| {
+        let cats = ["a", "b", "c", "d"];
+        let shades = ["x", "y", "z"];
+        DataFrame::new(vec![
+            Column::from_strs("g", rows.iter().map(|r| cats[r.0 as usize]).collect()),
+            Column::from_ints("k", rows.iter().map(|r| r.1).collect()),
+            Column::from_floats("v", rows.iter().map(|r| r.2 as f64 / 3.0).collect()),
+            Column::from_ints("w", rows.iter().map(|r| r.3 * r.3).collect()),
+            Column::from_strs("h", rows.iter().map(|r| shades[r.4 as usize]).collect()),
+        ])
+        .unwrap()
+    })
+}
+
+/// A skyline member as `(partition, column, slot, raw bits, std bits)`.
+type Member = (usize, usize, usize, u64, u64);
+
+/// Runs ScoreColumns → PartitionRows → Contribute → Skyline under `mode`
+/// and recomputes every `(partition, column)` unit of the same partitions
+/// and columns by hand. Returns the pipeline's skyline, the batch skyline
+/// of the exhaustive candidate list, and both candidate counts.
+fn pruned_and_exhaustive(
+    step: &ExploratoryStep,
+    mode: ExecutionMode,
+) -> (BTreeSet<Member>, BTreeSet<Member>, usize, usize) {
+    let config = FedexConfig {
+        execution: mode,
+        ..FedexConfig::default()
+    };
+    let pipeline = ExplainPipeline::new(step, &config);
+    let ctx = pipeline.context();
+    let scored = ScoreColumns::builtin().run(ctx, ()).unwrap();
+    let partitioned = PartitionRows { extra: Vec::new() }
+        .run(ctx, scored)
+        .unwrap();
+    let contributed = Contribute {
+        contributor: Contributor::Incremental,
+    }
+    .run(ctx, partitioned)
+    .unwrap();
+    let ranked = Skyline.run(ctx, contributed).unwrap();
+    let pruned: BTreeSet<Member> = ranked
+        .order
+        .iter()
+        .map(|&k| {
+            let c = &ranked.candidates[k];
+            (
+                c.partition,
+                c.column,
+                c.slot,
+                c.raw.to_bits(),
+                c.std.to_bits(),
+            )
+        })
+        .collect();
+
+    let cc = ContributionComputer::new(step, ctx.kind);
+    let mut all: Vec<(Member, (f64, f64))> = Vec::new();
+    for (pi, p) in ranked.partitions.iter().enumerate() {
+        for (ci, (column, interestingness)) in ranked.scored.top.iter().enumerate() {
+            let Some(raw) = cc.contributions(p, column).unwrap() else {
+                continue;
+            };
+            let z = standardized(&raw);
+            for slot in (0..p.n_sets()).filter(|&s| raw[s] > 0.0) {
+                let member = (pi, ci, slot, raw[slot].to_bits(), z[slot].to_bits());
+                all.push((member, (*interestingness, z[slot])));
+            }
+        }
+    }
+    let points: Vec<(f64, f64)> = all.iter().map(|&(_, point)| point).collect();
+    let exhaustive = skyline_indices(&points)
+        .into_iter()
+        .map(|k| all[k].0)
+        .collect();
+    (pruned, exhaustive, ranked.candidates.len(), all.len())
+}
+
+/// The skyline bound prunes for real on the paper's filter example: fewer
+/// candidates are built than an exhaustive run has, and the skyline is
+/// the exhaustive one.
+#[test]
+fn skyline_bound_prunes_the_paper_filter_example() {
+    let wb = fedex::data::build_workbench(&fedex::data::DatasetScale {
+        spotify_rows: 4_000,
+        bank_rows: 100,
+        product_rows: 50,
+        sales_rows: 100,
+        store_rows: 10,
+        seed: 42,
+    });
+    let step = fedex::query::parse_query("SELECT * FROM spotify WHERE popularity > 65;")
+        .unwrap()
+        .to_step(&wb.catalog)
+        .unwrap();
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threads(2)] {
+        let (pruned, exhaustive, built, all) = pruned_and_exhaustive(&step, mode);
+        assert!(!exhaustive.is_empty());
+        assert_eq!(pruned, exhaustive, "{mode:?}");
+        assert!(built < all, "{mode:?}: built {built} of {all} candidates");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// §3.6 under skyline-bound pruning: the skyline Contribute → Skyline
+    /// returns is the batch skyline of every unit computed in full, under
+    /// serial and threaded schedules.
+    #[test]
+    fn pruned_skyline_equals_exhaustive(df in arb_wide_frame(), threshold in 0i64..5) {
+        let op = Operation::filter(Expr::col("k").gt(Expr::lit(threshold)));
+        let step = ExploratoryStep::run(vec![df], op).unwrap();
+        for mode in [ExecutionMode::Serial, ExecutionMode::Threads(2)] {
+            let (pruned, exhaustive, built, all) = pruned_and_exhaustive(&step, mode);
+            prop_assert!(built <= all);
+            prop_assert_eq!(pruned, exhaustive);
+        }
+    }
 
     /// Def. 3.8: every partition is a disjoint cover of the input rows.
     #[test]
