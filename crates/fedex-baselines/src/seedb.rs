@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use fedex_frame::{DType, DataFrame, Value};
-use fedex_query::{AggFunc, Aggregate, Operation};
+use fedex_query::{AggFunc, Operation};
 
 /// Maximum dimension cardinality SeeDB will consider (standard pruning —
 /// high-cardinality dimensions make meaningless bar charts).
@@ -164,19 +164,11 @@ pub fn recommend_for_step(step: &fedex_query::ExploratoryStep, k: usize) -> Opti
     Some(recommend(&step.inputs[0], &step.output, k))
 }
 
-/// The aggregate spec of a view, for rendering.
-pub fn view_aggregate(view: &SeeDbView) -> Aggregate {
-    Aggregate {
-        func: view.agg,
-        column: Some(view.measure.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedex_frame::Column;
-    use fedex_query::{ExploratoryStep, Expr};
+    use fedex_query::{Aggregate, ExploratoryStep, Expr};
 
     fn reference() -> DataFrame {
         let mut genre = Vec::new();

@@ -3,13 +3,13 @@
 
 use fedex_data::{build_workbench, run_query, Dataset, DatasetScale, QueryKind, Workbench};
 use fedex_frame::DataFrame;
-use fedex_query::{parse_query, Catalog, ExploratoryStep};
+use fedex_query::{parse_query, Catalog};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::systems::{run_system, System};
-use crate::util::{timed, TextTable};
+use crate::util::TextTable;
 
 /// Beyond this many input rows RATH is skipped, mirroring its reported
 /// out-of-memory / timeout behaviour on the Products dataset (§4.3).
@@ -233,13 +233,6 @@ pub fn runtime_vs_rows(
         });
     }
     out
-}
-
-/// Measure only the end-to-end step execution (used by unit tests to keep
-/// the harness honest about what it times).
-pub fn time_step_only(step: &ExploratoryStep) -> f64 {
-    let (_, d) = timed(|| fedex_core::Fedex::sampling(5_000).explain(step));
-    d.as_secs_f64()
 }
 
 /// Render runtime points as a text table.

@@ -24,7 +24,7 @@
 //!   shares its via column's frequency payload (see [`crate::partition`]);
 //! * **explain results** — the whole `Arc<[Explanation]>` of one session
 //!   step, keyed by the step fingerprint folded with every configuration
-//!   field that shapes the output ([`results_key`]; `sample_size` among
+//!   field that shapes the output (`results_key`; `sample_size` among
 //!   them, so a sampled result never answers an exact request). A hit
 //!   skips all five stages, and the session's last step shares the `Arc`.
 //!
@@ -43,7 +43,7 @@
 //!    victims whenever another insert needs room.
 //!
 //! A coded frame is encoded once even under concurrent cold requests: the
-//! first request to miss claims the encode ([`ArtifactCache::claim_frames`])
+//! first request to miss claims the encode (`ArtifactCache::claim_frames`)
 //! and the others wait for its frame instead of encoding the same table
 //! again.
 //!

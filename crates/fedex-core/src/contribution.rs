@@ -9,12 +9,19 @@
 //! * **exceptionality** — removing `R` shifts the input and output value
 //!   histograms by the value counts of `R` (and of the output rows `R`
 //!   produced), so each intervention is a histogram subtraction;
-//! * **diversity** — one pass accumulates per-set × per-group partial
-//!   aggregates; each intervention recombines the partials of all *other*
-//!   sets (leave-one-out), which also handles groups that disappear.
+//! * **diversity of a group-by** — one pass accumulates per-set × per-group
+//!   partial aggregates; each intervention recombines the partials of all
+//!   *other* sets (leave-one-out), which also handles groups that
+//!   disappear;
+//! * **diversity of a filter, join or union** — these operations keep the
+//!   output rows that survive `q(D_in − R)` in their original order, so
+//!   the intervention's output column is this one without the rows `R`
+//!   sourced (found through provenance).
 //!
-//! [`ContributionComputer::contribution_by_rerun`] keeps the naive
-//! semantics; property tests assert both paths agree.
+//! [`ContributionComputer::contribution_by_rerun`] is Def. 3.3 verbatim,
+//! through [`ExploratoryStep::rerun_without`] and the boxed
+//! [`score_column`]. It is the reference the property tests compare every
+//! incremental path against; the explain pipeline never calls it.
 //!
 //! # The coded fast path
 //!
@@ -30,13 +37,13 @@
 
 use std::sync::Arc;
 
-use fedex_frame::{CodedFrame, DataFrame};
+use fedex_frame::CodedFrame;
 use fedex_query::{AggFunc, ExploratoryStep, Operation, Provenance};
 use fedex_stats::descriptive::{coefficient_of_variation, mean_and_std};
 
 use crate::interestingness::{score_column, InterestingnessKind, Sample};
 use crate::kernel::{self, ExcKernelCache};
-use crate::partition::{RowPartition, IGNORE};
+use crate::partition::RowPartition;
 use crate::pipeline::par::ExecutionMode;
 use crate::Result;
 
@@ -44,9 +51,8 @@ use crate::Result;
 pub struct ContributionComputer<'a> {
     step: &'a ExploratoryStep,
     kind: InterestingnessKind,
-    /// Pre-encoded inputs shared with the pipeline ([`Self::with_coded`]);
-    /// `None` makes each kernel encode its own source column on demand.
-    coded_inputs: Option<Arc<Vec<CodedFrame>>>,
+    /// The step's inputs, one [`CodedFrame`] per input dataframe, in order.
+    coded: Arc<Vec<CodedFrame>>,
     /// Per-column exceptionality kernels, built once and shared across
     /// partitions, worker threads — and, via [`Self::with_shared`], with
     /// the ScoreColumns stage that already built them while scoring.
@@ -60,31 +66,18 @@ pub struct ContributionComputer<'a> {
 }
 
 impl<'a> ContributionComputer<'a> {
-    /// Build a computer for `step` under measure `kind`.
+    /// Build a computer for `step` under measure `kind`, encoding each
+    /// input once.
     pub fn new(step: &'a ExploratoryStep, kind: InterestingnessKind) -> Self {
-        ContributionComputer {
-            step,
-            kind,
-            coded_inputs: None,
-            kernels: Arc::new(ExcKernelCache::default()),
-            intra_mode: ExecutionMode::Serial,
-        }
+        let coded = step.inputs.iter().map(CodedFrame::encode).collect();
+        Self::with_shared(step, kind, Arc::new(coded), Arc::default())
     }
 
-    /// [`Self::new`] with pre-encoded inputs (one [`CodedFrame`] per input
-    /// dataframe, in order) so kernels reuse the pipeline's coded columns
-    /// instead of re-encoding.
-    pub fn with_coded(
-        step: &'a ExploratoryStep,
-        kind: InterestingnessKind,
-        coded: Arc<Vec<CodedFrame>>,
-    ) -> Self {
-        Self::with_shared(step, kind, coded, Arc::new(ExcKernelCache::default()))
-    }
-
-    /// [`Self::with_coded`] additionally reusing a pre-populated kernel
-    /// cache — the pipeline hands over the kernels the ScoreColumns stage
-    /// built while scoring, so no base histogram is gathered twice.
+    /// A computer over already-encoded inputs (one [`CodedFrame`] per
+    /// input dataframe, in order) and a possibly pre-populated kernel
+    /// cache — the pipeline hands over the codes and kernels the
+    /// ScoreColumns stage built while scoring, so no input is encoded and
+    /// no base histogram is gathered twice.
     pub fn with_shared(
         step: &'a ExploratoryStep,
         kind: InterestingnessKind,
@@ -94,7 +87,7 @@ impl<'a> ContributionComputer<'a> {
         ContributionComputer {
             step,
             kind,
-            coded_inputs: Some(coded),
+            coded,
             kernels,
             intra_mode: ExecutionMode::Serial,
         }
@@ -142,8 +135,7 @@ impl<'a> ContributionComputer<'a> {
         partition: &RowPartition,
         column: &str,
     ) -> Result<Option<Vec<f64>>> {
-        let coded = self.coded_inputs.as_deref().map(Vec::as_slice);
-        let Some(kernel) = self.kernels.get_or_build(self.step, column, coded)? else {
+        let Some(kernel) = self.kernels.get_or_build(self.step, column, &self.coded)? else {
             return Ok(None);
         };
         Ok(Some(kernel.contributions(
@@ -169,9 +161,7 @@ impl<'a> ContributionComputer<'a> {
             },
         ) = (&step.op, &step.provenance)
         else {
-            // Diversity contribution outside group-by: fall back to rerun
-            // per set (rare — non-default configuration).
-            return self.diversity_by_rerun_all(partition, column);
+            return self.diversity_of_surviving_rows(partition, column);
         };
         let out_col = step.output.column(column)?;
         if !out_col.dtype().is_numeric() {
@@ -299,60 +289,69 @@ impl<'a> ContributionComputer<'a> {
         Ok(Some(out))
     }
 
-    fn diversity_by_rerun_all(
+    /// Diversity outside group-by. Filter, join and union keep the output
+    /// rows that survive `q(D_in − R)` in their original order, so each
+    /// slot's CV is taken over the output values the slot's rows did not
+    /// source, gathered in output-row order: bit-identical to the re-run.
+    fn diversity_of_surviving_rows(
         &self,
         partition: &RowPartition,
         column: &str,
     ) -> Result<Option<Vec<f64>>> {
-        let n_slots = Self::n_slots(partition);
-        let index = partition.rows_by_set();
-        let mut out = Vec::with_capacity(n_slots);
-        for s in 0..n_slots {
-            let code = if s == partition.n_sets() {
-                IGNORE
-            } else {
-                s as u32
-            };
-            match self.contribution_by_rerun(partition.input_idx, index.rows_of(code), column)? {
-                Some(c) => out.push(c),
-                None => return Ok(None),
-            }
+        let out_col = self.step.output.column(column)?;
+        if !out_col.dtype().is_numeric() {
+            return Ok(None);
         }
+        let Some(base_i) = coefficient_of_variation(&out_col.numeric_values()) else {
+            return Ok(None);
+        };
+        // The slot behind each output row; a row another union input
+        // sourced is in none (`usize::MAX`).
+        let mut slot_of_row = vec![usize::MAX; self.step.output.n_rows()];
+        self.step
+            .provenance
+            .for_each_out_row_from(partition.input_idx, |out_row, in_row| {
+                slot_of_row[out_row] = kernel::slot_of(partition, partition.assignment[in_row]);
+            });
+        let valued: Vec<(usize, f64)> = slot_of_row
+            .iter()
+            .enumerate()
+            .filter_map(|(row, &slot)| Some((slot, out_col.f64_at(row)?)))
+            .collect();
+        let out = (0..Self::n_slots(partition))
+            .map(|s| {
+                let values: Vec<f64> = valued
+                    .iter()
+                    .filter(|&&(slot, _)| slot != s)
+                    .map(|&(_, x)| x)
+                    .collect();
+                base_i - coefficient_of_variation(&values).unwrap_or(0.0)
+            })
+            .collect();
         Ok(Some(out))
     }
 
     // ------------------------------------------------ naive baseline ----
 
     /// Ground-truth contribution by literally re-running the operation on
-    /// `D_in − R` (Def. 3.3 verbatim). Used by tests to validate the
-    /// incremental kernels, and by custom measures.
+    /// `D_in − R` (Def. 3.3 verbatim, through
+    /// [`ExploratoryStep::rerun_without`]; `set_rows` ascending) and
+    /// re-scoring with the boxed [`score_column`]. The reference the tests
+    /// validate the incremental kernels against.
     pub fn contribution_by_rerun(
         &self,
         input_idx: usize,
         set_rows: &[usize],
         column: &str,
     ) -> Result<Option<f64>> {
-        let step = self.step;
-        let base = match score_column(step, column, self.kind, &Sample::full(step.inputs.len()))? {
-            Some(v) => v,
-            None => return Ok(None),
+        let full = Sample::full(self.step.inputs.len());
+        let Some(base) = score_column(self.step, column, self.kind, &full)? else {
+            return Ok(None);
         };
-        // Build the reduced step.
-        let keep = step.inputs[input_idx].complement_indices(set_rows);
-        let reduced_input = step.inputs[input_idx]
-            .take(&keep)
-            .map_err(crate::ExplainError::from)?;
-        let mut inputs: Vec<DataFrame> = step.inputs.clone();
-        inputs[input_idx] = reduced_input;
-        let reduced_step = ExploratoryStep::run(inputs, step.op.clone())?;
-        let reduced = score_column(
-            &reduced_step,
-            column,
-            self.kind,
-            &Sample::full(step.inputs.len()),
-        )?
-        .unwrap_or(0.0);
-        Ok(Some(base - reduced))
+        let reduced = self.step.rerun_without(input_idx, set_rows)?;
+        Ok(Some(
+            base - score_column(&reduced, column, self.kind, &full)?.unwrap_or(0.0),
+        ))
     }
 }
 
@@ -405,7 +404,7 @@ pub fn max_standardized(n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::partition::{frequency_partition, many_to_one_partitions, numeric_partition};
-    use fedex_frame::Column;
+    use fedex_frame::{Column, DataFrame};
     use fedex_query::{Aggregate, Expr};
 
     fn spotify_like() -> DataFrame {

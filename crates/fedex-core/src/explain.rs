@@ -291,11 +291,13 @@ impl Fedex {
     }
 
     /// Step 2 of Algorithm 1: all row partitions of all inputs,
-    /// deduplicated (see [`PartitionRows`]).
+    /// deduplicated (see [`PartitionRows`]). Step 1 runs first: it encodes
+    /// the inputs that partition mining reads.
     pub fn build_partitions(&self, step: &ExploratoryStep) -> Result<Vec<RowPartition>> {
         let ctx = PipelineContext::new(step, &self.config);
+        let scored = ScoreColumns::builtin().run(&ctx, ())?;
         Ok(PartitionRows { extra: Vec::new() }
-            .run(&ctx, Default::default())?
+            .run(&ctx, scored)?
             .partitions)
     }
 

@@ -10,21 +10,22 @@
 //!
 //! Two implementations share this contract:
 //!
-//! * [`CodedScorer`] — the fast path used by the pipeline. Exceptionality
-//!   runs on the dense dictionary codes of [`fedex_frame::codec`] through
-//!   the shared [`ExcKernelCache`]: base histograms come straight from the
+//! * [`CodedScorer`] — the one the pipeline runs. Exceptionality runs on
+//!   the dense dictionary codes of [`fedex_frame::codec`] through the
+//!   shared [`ExcKernelCache`]: base histograms come straight from the
 //!   encode pass, masked and provenance-restricted histograms are code
 //!   scatter passes, and the KS statistic is one linear sweep in code
 //!   order ([`crate::hist::ks_sub_counts`]). No boxed
-//!   [`Value`] is touched.
-//! * [`score_column`] / [`score_all_columns`] — the boxed
-//!   [`ValueHist`]-based **reference implementation**, retained for
-//!   property tests and for callers without pre-encoded inputs. The two
-//!   paths walk distinct values in the same order and apply identical
-//!   floating-point operations, so they agree bit-for-bit (pinned by the
-//!   `coded_scoring` property tests).
+//!   [`fedex_frame::Value`] is touched.
+//! * [`score_column`] — the boxed [`ValueHist`]-based **reference
+//!   implementation**. It stays public as the oracle the property tests
+//!   and [`crate::ContributionComputer::contribution_by_rerun`] compare
+//!   against; no explain path calls it. The two walk distinct values in
+//!   the same order and apply identical floating-point operations, so
+//!   they agree bit-for-bit (pinned by the `coded_scoring` property
+//!   tests).
 
-use fedex_frame::{CodedFrame, Column, DataFrame, Value};
+use fedex_frame::{CodedFrame, Column, DataFrame};
 use fedex_query::{AggFunc, Aggregate, ExploratoryStep, Operation, Provenance};
 use fedex_stats::descriptive::coefficient_of_variation;
 
@@ -390,17 +391,7 @@ impl<'a> CodedScorer<'a> {
         match kind {
             InterestingnessKind::Diversity => score_diversity(self.step, column, sample),
             InterestingnessKind::Exceptionality => {
-                let Some(kernel) =
-                    self.kernels
-                        .get_or_build(self.step, column, Some(self.coded))?
-                else {
-                    // A union column absent from *some* input has no kernel
-                    // (contribution needs every input), but the score is
-                    // still defined as the max over the inputs that carry
-                    // the column — keep the boxed reference semantics.
-                    if matches!(self.step.op, Operation::Union) {
-                        return score_exceptionality(self.step, column, sample);
-                    }
+                let Some(kernel) = self.kernels.get_or_build(self.step, column, self.coded)? else {
                     return Ok(None);
                 };
                 Ok(Some(if sample.is_full() {
@@ -413,37 +404,12 @@ impl<'a> CodedScorer<'a> {
     }
 }
 
-/// Score every output column of the step, returning `(column, score)` in
-/// output-schema order, skipping inapplicable columns — boxed reference
-/// path.
-pub fn score_all_columns(
-    step: &ExploratoryStep,
-    kind: InterestingnessKind,
-    sample: &Sample,
-) -> Result<Vec<(String, f64)>> {
-    score_all_columns_with(step, kind, sample, crate::pipeline::ExecutionMode::Serial)
-}
-
-/// [`score_all_columns`] scheduled under an explicit [`ExecutionMode`] —
-/// columns are scored independently, so the map parallelizes per column.
-///
-/// [`ExecutionMode`]: crate::pipeline::ExecutionMode
-pub fn score_all_columns_with(
-    step: &ExploratoryStep,
-    kind: InterestingnessKind,
-    sample: &Sample,
-    mode: crate::pipeline::ExecutionMode,
-) -> Result<Vec<(String, f64)>> {
-    let fields = output_fields(step);
-    let per_column =
-        crate::pipeline::try_par_map(mode, &fields, |name| score_column(step, name, kind, sample))?;
-    Ok(collect_scores(fields, per_column))
-}
-
-/// [`score_all_columns_with`] on the coded fast path — the kernel behind
-/// the pipeline's ScoreColumns stage. `coded` are the step's pre-encoded
-/// inputs; kernels built for scoring land in `kernels`, ready for reuse by
-/// the Contribute stage.
+/// Score every output column of the step on the coded path, returning
+/// `(column, score)` in output-schema order and skipping inapplicable
+/// columns — the kernel behind the pipeline's ScoreColumns stage, mapped
+/// per column under `mode`. `coded` are the step's pre-encoded inputs;
+/// kernels built for scoring land in `kernels`, ready for reuse by the
+/// Contribute stage.
 pub fn score_all_columns_coded(
     step: &ExploratoryStep,
     coded: &[CodedFrame],
@@ -452,38 +418,22 @@ pub fn score_all_columns_coded(
     sample: &Sample,
     mode: crate::pipeline::ExecutionMode,
 ) -> Result<Vec<(String, f64)>> {
-    let fields = output_fields(step);
-    let scorer = CodedScorer::new(step, coded, kernels);
-    let per_column =
-        crate::pipeline::try_par_map(mode, &fields, |name| scorer.score(name, kind, sample))?;
-    Ok(collect_scores(fields, per_column))
-}
-
-/// Output column names in schema order.
-fn output_fields(step: &ExploratoryStep) -> Vec<String> {
-    step.output
+    let fields: Vec<String> = step
+        .output
         .schema()
         .fields()
         .iter()
         .map(|f| f.name.clone())
-        .collect()
-}
-
-/// Pair columns with their finite scores, dropping inapplicable ones.
-fn collect_scores(fields: Vec<String>, per_column: Vec<Option<f64>>) -> Vec<(String, f64)> {
-    fields
+        .collect();
+    let scorer = CodedScorer::new(step, coded, kernels);
+    let per_column =
+        crate::pipeline::try_par_map(mode, &fields, |name| scorer.score(name, kind, sample))?;
+    // Inapplicable columns and non-finite scores are dropped.
+    Ok(fields
         .into_iter()
         .zip(per_column)
-        .filter_map(|(name, s)| match s {
-            Some(v) if v.is_finite() => Some((name, v)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Dispatch on [`Value`] for test helpers (re-exported for the bench crate).
-pub fn value_to_f64(v: &Value) -> Option<f64> {
-    v.as_f64()
+        .filter_map(|(name, s)| Some((name, s.filter(|v| v.is_finite())?)))
+        .collect())
 }
 
 #[cfg(test)]
@@ -555,11 +505,18 @@ mod tests {
         .unwrap();
         // Filter keeps only 2010s rows → maximal deviation on 'decade'.
         assert!(decade > 0.7, "decade KS = {decade}");
-        let scores =
-            score_all_columns(&step, InterestingnessKind::Exceptionality, &sample).unwrap();
         // Every output column is scored, and all scores are in [0, 1].
-        assert_eq!(scores.len(), 4);
-        assert!(scores.iter().all(|(_, s)| (0.0..=1.0).contains(s)));
+        for field in step.output.schema().fields() {
+            let s = score_column(
+                &step,
+                &field.name,
+                InterestingnessKind::Exceptionality,
+                &sample,
+            )
+            .unwrap()
+            .unwrap();
+            assert!((0.0..=1.0).contains(&s), "{}: {s}", field.name);
+        }
     }
 
     #[test]

@@ -79,18 +79,19 @@ impl fmt::Debug for ExcKernelCache {
 }
 
 impl ExcKernelCache {
-    /// The kernel for `column`, building (and caching) it on first use;
-    /// `None` when exceptionality does not apply to the column.
+    /// The kernel for `column`, building (and caching) it on first use
+    /// from the step's coded inputs; `None` when exceptionality does not
+    /// apply to the column.
     pub(crate) fn get_or_build(
         &self,
         step: &ExploratoryStep,
         column: &str,
-        coded_inputs: Option<&[CodedFrame]>,
+        coded: &[CodedFrame],
     ) -> Result<Option<Arc<ExcKernel>>> {
         if let Some(k) = self.map.read().expect("kernel cache").get(column) {
             return Ok(k.clone());
         }
-        let built = ExcKernel::build(step, column, coded_inputs)?.map(Arc::new);
+        let built = ExcKernel::build(step, column, coded)?.map(Arc::new);
         let mut cache = self.map.write().expect("kernel cache");
         Ok(cache.entry(column.to_string()).or_insert(built).clone())
     }
@@ -157,22 +158,19 @@ pub(crate) enum ExcKernel {
 }
 
 impl ExcKernel {
-    /// Build the kernel for one column, or `None` when exceptionality does
-    /// not apply (group-by steps, columns without an input counterpart,
-    /// union columns missing from an input).
+    /// Build the kernel for one column from `coded`, one [`CodedFrame`] per
+    /// input of `step`; `None` when exceptionality does not apply
+    /// (group-by steps, columns without an input counterpart). Every union
+    /// input carries every output column: `DataFrame::vstack` rejects
+    /// inputs whose layouts differ.
     pub(crate) fn build(
         step: &ExploratoryStep,
         column: &str,
-        coded_inputs: Option<&[CodedFrame]>,
+        coded: &[CodedFrame],
     ) -> Result<Option<ExcKernel>> {
         match &step.op {
             Operation::GroupBy { .. } => Ok(None),
             Operation::Union => {
-                for input in &step.inputs {
-                    if !input.has_column(column) {
-                        return Ok(None);
-                    }
-                }
                 let out_coded = CodedColumn::encode(step.output.column(column)?);
                 let n_codes = out_coded.n_codes();
                 let Provenance::Union { source_of_row } = &step.provenance else {
@@ -209,15 +207,10 @@ impl ExcKernel {
                 let Some((src_idx, src_col_name)) = step.source_of_output_column(column) else {
                     return Ok(None);
                 };
-                let coded_in = match coded_inputs
-                    .and_then(|c| c.get(src_idx))
-                    .and_then(|f| f.column(&src_col_name))
-                {
-                    Some(shared) => shared.clone(),
-                    None => Arc::new(CodedColumn::encode(
-                        step.inputs[src_idx].column(&src_col_name)?,
-                    )),
-                };
+                let coded_in = coded[src_idx]
+                    .column(&src_col_name)
+                    .expect("coded inputs carry every input column")
+                    .clone();
                 // Output codes by provenance gather: an output row's value
                 // is its source row's value.
                 let src_rows = step

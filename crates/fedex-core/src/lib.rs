@@ -48,8 +48,8 @@ pub use error::ExplainError;
 pub use explain::{render_all, to_json_array, CustomMeasure, Explanation, Fedex, FedexConfig};
 pub use hist::{ks_sub_counts, CodedHist, ValueHist};
 pub use interestingness::{
-    for_each_sampled_out_row, score_all_columns, score_all_columns_coded, score_all_columns_with,
-    score_column, CodedScorer, InterestingnessKind, Sample,
+    for_each_sampled_out_row, score_all_columns_coded, score_column, CodedScorer,
+    InterestingnessKind, Sample,
 };
 pub use kernel::ExcKernelCache;
 pub use measures_ext::{Compactness, Surprisingness};

@@ -16,14 +16,13 @@ use crate::partition::RowPartition;
 /// The coded input columns of one step (one [`CodedFrame`] per input
 /// dataframe), encoded once in the ScoreColumns stage and shared — via
 /// `Arc`, never cloned — with PartitionRows (partition mining on codes)
-/// and Contribute (histogram kernels on codes). An empty value means "not
-/// yet encoded"; downstream stages then encode what they need on demand,
-/// so hand-built artifacts keep working.
+/// and Contribute (histogram kernels on codes). Downstream stages read
+/// these codes and never encode.
 pub type CodedInputs = Arc<Vec<CodedFrame>>;
 
 /// Output of the **ScoreColumns** stage: interestingness of every
 /// applicable output column (Algorithm 1, step 1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ScoredColumns {
     /// All applicable `(column, I_A(Q))` pairs, sorted by score descending
     /// (ties broken by column name) — after predicate-column exclusion and
@@ -51,7 +50,7 @@ pub struct ScoredColumns {
 
 /// Output of the **Partition** stage: mined (and user-supplied) row
 /// partitions of every input (Algorithm 1, step 2).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Partitioned {
     /// Upstream artifact, passed through.
     pub scored: ScoredColumns,
@@ -83,7 +82,7 @@ pub struct Candidate {
 /// Output of the **Contribute** stage: all candidates with positive raw
 /// contribution of every unit not pruned by the skyline bound
 /// (Algorithm 1, step 3).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Contributed {
     /// Upstream artifact, passed through.
     pub scored: ScoredColumns,
@@ -97,16 +96,15 @@ pub struct Contributed {
     pub candidates: Vec<Candidate>,
     /// Indices into `candidates` of the skyline, computed *streaming*
     /// while contribution work units finished (the fused
-    /// Contribute→Skyline path). `None` on hand-built artifacts; the
-    /// Skyline stage then computes it batch.
+    /// Contribute→Skyline path); the Skyline stage only ranks it.
     /// Sorted ascending, so it is deterministic regardless of work-unit
     /// completion order.
-    pub skyline: Option<Vec<usize>>,
+    pub skyline: Vec<usize>,
 }
 
 /// Output of the **Skyline** stage: the non-dominated candidates ranked by
 /// weighted score (Algorithm 1, step 4).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Ranked {
     /// Upstream artifact, passed through.
     pub scored: ScoredColumns,

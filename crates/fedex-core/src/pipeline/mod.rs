@@ -29,6 +29,11 @@
 //! Only the count of candidates Contribute builds can vary with the
 //! schedule under more than one thread.
 //!
+//! Each stage consumes exactly what the previous one produced: the coded
+//! inputs ScoreColumns encodes are the run's only encode, and the skyline
+//! Contribute streams is the one Skyline ranks. A stage run by hand needs
+//! the real upstream artifact, so run the stages before it.
+//!
 //! [`ExplainPipeline`] is the orchestrator used by
 //! [`Fedex::explain`](crate::Fedex::explain); it can also report
 //! per-stage wall-clock timings ([`ExplainPipeline::run_traced`]) for the
@@ -224,8 +229,8 @@ impl<'a> ExplainPipeline<'a> {
 
     /// Score columns and compute contributions under a user-supplied
     /// interestingness measure (§3.8, "general interestingness
-    /// functions"); contribution falls back to the literal Def. 3.3
-    /// re-run.
+    /// functions"); contribution is the literal Def. 3.3 re-run
+    /// ([`ExploratoryStep::rerun_without`]), the pipeline's only one.
     pub fn with_measure(mut self, measure: &'a dyn CustomMeasure) -> Self {
         self.measure = Some(measure);
         self

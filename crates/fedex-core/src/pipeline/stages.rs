@@ -19,36 +19,15 @@ use crate::explain::{CustomMeasure, Explanation};
 use crate::interestingness::{score_all_columns_coded, InterestingnessKind};
 use crate::kernel::{self, ExcKernelCache};
 use crate::partition::{
-    assemble_input_partitions, mine_attr_payloads, PartitionKind, RowPartition, IGNORE,
+    assemble_input_partitions, mine_attr_payloads, PartitionKind, RowPartition,
 };
-use crate::skyline::{skyline_indices, weighted_score, StreamingSkyline};
+use crate::skyline::{weighted_score, StreamingSkyline};
 use crate::viz::{Bar, Chart, ChartKind};
 use crate::Result;
 
 use super::artifacts::{Candidate, CodedInputs, Contributed, Partitioned, Ranked, ScoredColumns};
 use super::par::{par_map, try_par_map, ExecutionMode};
 use super::{PipelineContext, Stage};
-
-/// Encode every input column of the step, data-parallel over
-/// `(input, column)` pairs. The result is shared (`Arc`) by every stage
-/// that consumes codes.
-///
-/// With a cross-request [`ArtifactCache`], each input is first looked up
-/// by content fingerprint — a warm input reuses the cached
-/// [`CodedFrame`] (cheap: coded columns are `Arc`s) and only cold inputs
-/// are encoded (and then inserted). Cache hits cannot change the result:
-/// encoding is a pure function of the input content the fingerprint
-/// digests.
-pub(crate) fn encode_inputs(
-    step: &ExploratoryStep,
-    mode: ExecutionMode,
-    cache: Option<&ArtifactCache>,
-) -> CodedInputs {
-    match cache {
-        None => encode_inputs_cold(step, mode, |_| true),
-        Some(cache) => encode_inputs_cached(step, mode, cache, &input_fingerprints(step)).0,
-    }
-}
 
 /// Content fingerprints of every input, in input order.
 pub(crate) fn input_fingerprints(step: &ExploratoryStep) -> Vec<Fingerprint> {
@@ -57,6 +36,7 @@ pub(crate) fn input_fingerprints(step: &ExploratoryStep) -> Vec<Fingerprint> {
 
 /// Encode the inputs selected by `wanted`, data-parallel over
 /// `(input, column)` pairs; unselected slots get empty placeholder frames.
+/// The result is shared (`Arc`) by every stage that consumes codes.
 fn encode_inputs_cold(
     step: &ExploratoryStep,
     mode: ExecutionMode,
@@ -91,10 +71,13 @@ fn encode_inputs_cold(
     Arc::new(frames)
 }
 
-/// [`encode_inputs`] against a cross-request cache: warm inputs reuse
-/// their cached [`CodedFrame`], only cold ones are encoded and inserted.
-/// An input another request is encoding right now is waited for, not
-/// encoded again (see [`ArtifactCache::claim_frames`]).
+/// [`encode_inputs_cold`] against a cross-request cache: each input is
+/// looked up by content fingerprint, warm inputs reuse their cached
+/// [`CodedFrame`] (cheap: coded columns are `Arc`s), only cold ones are
+/// encoded and inserted. Hits cannot change the result: encoding is a
+/// pure function of the content the fingerprint digests. An input another
+/// request is encoding right now is waited for, not encoded again (see
+/// [`ArtifactCache::claim_frames`]).
 ///
 /// The batch encode is timed and each inserted frame carries its share of
 /// that measured cost (proportional to its coded size) — the rebuild cost
@@ -144,20 +127,6 @@ fn encode_inputs_cached(
         })
         .collect();
     (Arc::new(frames), events)
-}
-
-/// The shared coded inputs, or a freshly-encoded set when the upstream
-/// artifact was built by hand (empty `coded`).
-fn ensure_coded(
-    step: &ExploratoryStep,
-    coded: &CodedInputs,
-    ctx: &PipelineContext<'_>,
-) -> CodedInputs {
-    if coded.len() == step.inputs.len() {
-        coded.clone()
-    } else {
-        encode_inputs(step, ctx.mode(), ctx.config.artifact_cache.as_deref())
-    }
 }
 
 /// Cache key of one exploratory step: the operation (via its stable debug
@@ -245,7 +214,7 @@ impl Stage for ScoreColumns<'_> {
         let mut step_fp = None;
         let (coded, kernels, cache_events) = match ctx.config.artifact_cache.as_deref() {
             None => (
-                encode_inputs(step, ctx.mode(), None),
+                encode_inputs_cold(step, ctx.mode(), |_| true),
                 Arc::new(ExcKernelCache::default()),
                 Vec::new(),
             ),
@@ -378,7 +347,7 @@ impl Stage for PartitionRows {
         "PartitionRows"
     }
 
-    fn run(&self, ctx: &PipelineContext<'_>, mut scored: ScoredColumns) -> Result<Partitioned> {
+    fn run(&self, ctx: &PipelineContext<'_>, scored: ScoredColumns) -> Result<Partitioned> {
         let step = ctx.step;
         let (set_counts, seed) = (&ctx.config.set_counts, ctx.config.seed);
         let predicate_cols: Vec<&str> = match &step.op {
@@ -389,8 +358,7 @@ impl Stage for PartitionRows {
             } => f.referenced_columns(),
             _ => Vec::new(),
         };
-        let coded = ensure_coded(step, &scored.coded, ctx);
-        scored.coded = coded.clone();
+        let coded = &scored.coded;
 
         let cache = ctx.config.artifact_cache.as_deref();
         let fps = cache.map(|_| input_fingerprints(step));
@@ -496,9 +464,10 @@ pub enum Contributor<'m> {
     /// [`ContributionComputer`], data-parallel over `(partition, column)`
     /// units.
     Incremental,
-    /// Literal Def. 3.3 re-runs under a user-supplied measure (§3.8).
-    /// Trait objects carry no `Sync` bound, so this path runs its units
-    /// serially — it is the slow path by construction anyway.
+    /// Literal Def. 3.3 re-runs ([`ExploratoryStep::rerun_without`]) under
+    /// a user-supplied measure (§3.8). Trait objects carry no `Sync` bound,
+    /// so this path runs its units serially — it is the slow path by
+    /// construction anyway.
     Custom(&'m dyn CustomMeasure),
 }
 
@@ -635,15 +604,27 @@ impl Stage for Contribute<'_> {
                     run_unit(unit, &|p, column| computer.contributions(p, column))
                 })?
             }
-            // Serial: `&dyn CustomMeasure` is not `Sync`.
-            Contributor::Custom(measure) => units
-                .iter()
-                .map(|unit| {
-                    run_unit(unit, &|p, column| {
-                        custom_contributions(ctx.step, *measure, p, column)
-                    })
-                })
-                .collect::<Result<_>>()?,
+            // Serial: `&dyn CustomMeasure` is not `Sync`. One re-run per
+            // slot, the ignore-set included (Def. 3.3 verbatim).
+            Contributor::Custom(measure) => {
+                let rerun = |p: &RowPartition, column: &str| -> Result<Option<Vec<f64>>> {
+                    let Some(base) = measure.score(ctx.step, column)? else {
+                        return Ok(None);
+                    };
+                    (0..ContributionComputer::n_slots(p))
+                        .map(|slot| {
+                            let rows = p.rows_by_set().rows_of_slot(slot);
+                            let reduced = ctx.step.rerun_without(p.input_idx, rows)?;
+                            Ok(base - measure.score(&reduced, column)?.unwrap_or(0.0))
+                        })
+                        .collect::<Result<_>>()
+                        .map(Some)
+                };
+                units
+                    .iter()
+                    .map(|unit| run_unit(unit, &rerun))
+                    .collect::<Result<_>>()?
+            }
         };
         // Reassemble in (partition, column, slot) order, whatever the
         // schedule: Skyline's stable sort and Present's dedup see the
@@ -677,62 +658,16 @@ impl Stage for Contribute<'_> {
             scored,
             partitions,
             candidates,
-            skyline: Some(skyline),
+            skyline,
         })
     }
-}
-
-/// Ground-truth contribution under a custom measure: remove each set,
-/// re-run the operation, re-score (Def. 3.3 verbatim).
-fn custom_contributions(
-    step: &ExploratoryStep,
-    measure: &dyn CustomMeasure,
-    partition: &RowPartition,
-    column: &str,
-) -> Result<Option<Vec<f64>>> {
-    let Some(base) = measure.score(step, column)? else {
-        return Ok(None);
-    };
-    let n_slots = ContributionComputer::n_slots(partition);
-    let index = partition.rows_by_set();
-    let n_rows = step.inputs[partition.input_idx].n_rows();
-    // One complement scratch reused across slots: the CSR segments are
-    // ascending, so a merge-scan fills it without the per-slot boolean
-    // mask + fresh Vec a `complement_indices` call would allocate.
-    let mut keep: Vec<usize> = Vec::with_capacity(n_rows);
-    let mut out = Vec::with_capacity(n_slots);
-    for slot in 0..n_slots {
-        let code = if slot == partition.n_sets() {
-            IGNORE
-        } else {
-            slot as u32
-        };
-        let removed = index.rows_of(code);
-        keep.clear();
-        let mut next = removed.iter().copied().peekable();
-        for row in 0..n_rows {
-            if next.peek() == Some(&row) {
-                next.next();
-            } else {
-                keep.push(row);
-            }
-        }
-        let reduced = step.inputs[partition.input_idx]
-            .take(&keep)
-            .map_err(ExplainError::from)?;
-        let mut inputs = step.inputs.clone();
-        inputs[partition.input_idx] = reduced;
-        let reduced_step = ExploratoryStep::run(inputs, step.op.clone())?;
-        let reduced_score = measure.score(&reduced_step, column)?.unwrap_or(0.0);
-        out.push(base - reduced_score);
-    }
-    Ok(Some(out))
 }
 
 // ======================================================= 4. Skyline ====
 
 /// Step 4 of Algorithm 1: the skyline of `(I_A, C̄)` pairs, ranked by the
-/// weighted score of §3.7.
+/// weighted score of §3.7. The skyline itself is the one Contribute
+/// streamed ([`Contributed::skyline`]).
 pub struct Skyline;
 
 impl Stage for Skyline {
@@ -750,32 +685,20 @@ impl Stage for Skyline {
             candidates,
             skyline,
         } = input;
-        // Contribute already streamed the skyline; only hand-built
-        // artifacts pay the batch O(n²) pass here.
-        let mut order = match skyline {
-            Some(streamed) => {
-                #[cfg(debug_assertions)]
-                {
-                    let points: Vec<(f64, f64)> = candidates
-                        .iter()
-                        .map(|c| (scored.top[c.column].1, c.std))
-                        .collect();
-                    debug_assert_eq!(
-                        streamed,
-                        skyline_indices(&points),
-                        "streamed skyline diverged from the batch operator"
-                    );
-                }
-                streamed
-            }
-            None => {
-                let points: Vec<(f64, f64)> = candidates
-                    .iter()
-                    .map(|c| (scored.top[c.column].1, c.std))
-                    .collect();
-                skyline_indices(&points)
-            }
-        };
+        // Contribute already streamed the skyline.
+        let mut order = skyline;
+        #[cfg(debug_assertions)]
+        {
+            let points: Vec<(f64, f64)> = candidates
+                .iter()
+                .map(|c| (scored.top[c.column].1, c.std))
+                .collect();
+            debug_assert_eq!(
+                order,
+                crate::skyline::skyline_indices(&points),
+                "streamed skyline diverged from the batch operator"
+            );
+        }
         let score_of = |i: usize| {
             weighted_score(
                 scored.top[candidates[i].column].1,

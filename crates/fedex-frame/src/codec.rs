@@ -402,11 +402,6 @@ impl CodedFrame {
             .map(|i| &self.columns[i])
     }
 
-    /// Coded column by schema position.
-    pub fn column_at(&self, idx: usize) -> &Arc<CodedColumn> {
-        &self.columns[idx]
-    }
-
     /// Approximate heap size in bytes (sum over columns).
     pub fn approx_bytes(&self) -> usize {
         self.columns.iter().map(|c| c.approx_bytes()).sum()

@@ -204,18 +204,6 @@ impl DataFrame {
         self.take(&indices)
     }
 
-    /// All row indices *not* present in `exclude` — the complement used by
-    /// the intervention-based contribution measure (Def. 3.3).
-    pub fn complement_indices(&self, exclude: &[usize]) -> Vec<usize> {
-        let mut drop = vec![false; self.n_rows()];
-        for &i in exclude {
-            if i < drop.len() {
-                drop[i] = true;
-            }
-        }
-        (0..self.n_rows()).filter(|&i| !drop[i]).collect()
-    }
-
     /// Append a column (must match the row count, name must be fresh).
     pub fn with_column(mut self, col: Column) -> Result<DataFrame> {
         if self.has_column(col.name()) {
@@ -322,17 +310,6 @@ mod tests {
         assert_eq!(f.get(1, "decade").unwrap(), Value::str("1990s"));
 
         assert!(df().take(&[99]).is_err());
-    }
-
-    #[test]
-    fn complement_indices_cover() {
-        let d = df();
-        let excl = vec![0, 2];
-        let rest = d.complement_indices(&excl);
-        assert_eq!(rest, vec![1, 3]);
-        let mut all: Vec<usize> = excl.iter().copied().chain(rest).collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
     }
 
     #[test]

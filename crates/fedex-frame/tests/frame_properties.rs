@@ -126,17 +126,4 @@ proptest! {
         prop_assert_eq!(total, col.len() - col.null_count());
         prop_assert_eq!(counts.len(), col.n_distinct());
     }
-
-    #[test]
-    fn complement_partitions_rows(n in 1usize..60, seed in any::<u64>()) {
-        let col = Column::from_ints("x", (0..n as i64).collect());
-        let df = DataFrame::new(vec![col]).unwrap();
-        let exclude: Vec<usize> =
-            (0..n).filter(|i| (*i as u64).wrapping_mul(seed).is_multiple_of(2)).collect();
-        let rest = df.complement_indices(&exclude);
-        let mut all: Vec<usize> = exclude.iter().copied().chain(rest.iter().copied()).collect();
-        all.sort_unstable();
-        all.dedup();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
 }

@@ -91,13 +91,6 @@ pub struct TraceCtx {
     pub started: Instant,
 }
 
-impl TraceCtx {
-    /// Microseconds elapsed since admission.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.started.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
 /// The per-process observability hub. Cheap to share (`Arc<Obs>`); all
 /// recording methods take `&self` and are lock-free except the flight
 /// recorder's per-slot lock.

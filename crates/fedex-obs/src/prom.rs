@@ -148,19 +148,6 @@ impl Exposition {
             .find(|s| s.name == name && s.labels.iter().any(|(k, v)| k == label && v == value))
             .map(|s| s.value)
     }
-
-    /// Distinct values of `label` across all samples of `name`.
-    pub fn label_values(&self, name: &str, label: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in self.samples.iter().filter(|s| s.name == name) {
-            for (k, v) in &s.labels {
-                if k == label && !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
-    }
 }
 
 fn valid_name(s: &str) -> bool {

@@ -51,11 +51,6 @@ impl Catalog {
             .get(name)
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))
     }
-
-    /// Registered table names (unordered).
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
 }
 
 /// A `FROM` source: a named table or a bracketed subquery.

@@ -40,20 +40,21 @@ impl ExploratoryStep {
     }
 
     /// Re-run the operation with the rows `excluded` removed from input
-    /// `input_idx` — the intervention `q(D_in − R)` of Def. 3.3. Other
-    /// inputs are untouched.
-    pub fn rerun_without(&self, input_idx: usize, excluded: &[usize]) -> Result<DataFrame> {
-        let keep = self.inputs[input_idx].complement_indices(excluded);
-        let reduced = self.inputs[input_idx].take(&keep)?;
-        let mut inputs: Vec<DataFrame> = Vec::with_capacity(self.inputs.len());
-        for (i, df) in self.inputs.iter().enumerate() {
-            if i == input_idx {
-                inputs.push(reduced.clone());
-            } else {
-                inputs.push(df.clone());
-            }
-        }
-        self.op.apply(&inputs)
+    /// `input_idx`: the intervention step `(D_in − R, q, q(D_in − R))` of
+    /// Def. 3.3. Other inputs are untouched. `excluded` must be ascending
+    /// (a partition's row index is), so the kept rows are one merge-scan.
+    pub fn rerun_without(&self, input_idx: usize, excluded: &[usize]) -> Result<ExploratoryStep> {
+        debug_assert!(
+            excluded.windows(2).all(|w| w[0] < w[1]),
+            "excluded rows must ascend"
+        );
+        let mut removed = excluded.iter().copied().peekable();
+        let keep: Vec<usize> = (0..self.inputs[input_idx].n_rows())
+            .filter(|&row| removed.next_if_eq(&row).is_none())
+            .collect();
+        let mut inputs = self.inputs.clone();
+        inputs[input_idx] = self.inputs[input_idx].take(&keep)?;
+        ExploratoryStep::run(inputs, self.op.clone())
     }
 
     /// For an output column `A`, the input dataframe that sources it and
@@ -148,7 +149,7 @@ mod tests {
         )
         .unwrap();
         // Remove the two 2014 rows (indices 2, 3) from the input.
-        let out = step.rerun_without(0, &[2, 3]).unwrap();
+        let out = step.rerun_without(0, &[2, 3]).unwrap().output;
         assert_eq!(out.n_rows(), 1);
         assert_eq!(out.get(0, "year").unwrap(), Value::Int(2013));
         // Original step untouched.
@@ -162,7 +163,7 @@ mod tests {
             Operation::group_by(vec!["year"], vec![Aggregate::mean("loudness")]),
         )
         .unwrap();
-        let out = step.rerun_without(0, &[]).unwrap();
+        let out = step.rerun_without(0, &[]).unwrap().output;
         assert_eq!(out.n_rows(), step.output.n_rows());
     }
 
@@ -240,10 +241,10 @@ mod tests {
         .unwrap();
         assert_eq!(step.output.n_rows(), 4);
         // Remove product 3 → its two sales rows disappear.
-        let out = step.rerun_without(0, &[2]).unwrap();
+        let out = step.rerun_without(0, &[2]).unwrap().output;
         assert_eq!(out.n_rows(), 2);
         // Removing from the sales side instead.
-        let out = step.rerun_without(1, &[0]).unwrap();
+        let out = step.rerun_without(1, &[0]).unwrap().output;
         assert_eq!(out.n_rows(), 3);
     }
 }

@@ -149,7 +149,7 @@ proptest! {
         ];
         for op in ops {
             let step = ExploratoryStep::run(vec![df.clone()], op).unwrap();
-            let out = step.rerun_without(0, &[]).unwrap();
+            let out = step.rerun_without(0, &[]).unwrap().output;
             prop_assert_eq!(out.n_rows(), step.output.n_rows());
             for r in 0..out.n_rows() {
                 let a = out.row(r).unwrap();

@@ -1040,6 +1040,12 @@ impl ExplainService {
             "Bytes all sessions retain, charged against the session budget.",
             sessions.bytes as u64,
         );
+        gauge(
+            &mut w,
+            "fedex_session_budget_bytes",
+            "Byte budget of what all sessions retain together.",
+            sessions.budget as u64,
+        );
         counter(
             &mut w,
             "fedex_session_evictions_total",

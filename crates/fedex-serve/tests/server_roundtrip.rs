@@ -406,6 +406,7 @@ fn prometheus_scrape_is_valid_and_counts_every_request() {
     for (family, kind) in [
         ("fedex_sessions", "gauge"),
         ("fedex_session_bytes", "gauge"),
+        ("fedex_session_budget_bytes", "gauge"),
         ("fedex_session_evictions_total", "counter"),
     ] {
         assert_eq!(

@@ -168,11 +168,13 @@ proptest! {
     }
 
     /// Def. 3.3: incremental contribution equals the literal re-run, for
-    /// filter steps under exceptionality.
+    /// filter steps under exceptionality; and, to the bit on every slot
+    /// (the ignore-set included), under diversity outside group-by: the
+    /// filter, a join partitioned on each input, and a union.
     #[test]
     fn filter_contribution_matches_rerun(df in arb_frame(), threshold in -10i64..10) {
         let op = Operation::filter(Expr::col("k").gt(Expr::lit(threshold)));
-        let step = ExploratoryStep::run(vec![df], op).unwrap();
+        let step = ExploratoryStep::run(vec![df.clone()], op).unwrap();
         let cc = ContributionComputer::new(&step, InterestingnessKind::Exceptionality);
         for p in build_partitions_for_attr(&step.inputs[0], 0, "g", &[3], 7).unwrap() {
             if let Some(fast) = cc.contributions(&p, "v").unwrap() {
@@ -181,6 +183,35 @@ proptest! {
                     let slow = cc.contribution_by_rerun(0, rows, "v").unwrap().unwrap();
                     prop_assert!((c_fast - slow).abs() < 1e-9,
                         "set {}: fast {} vs rerun {}", s, c_fast, slow);
+                }
+            }
+        }
+
+        let half = df.head(df.n_rows() / 2);
+        let join = Operation::join("g", "g", "l", "r");
+        let steps = [
+            step,
+            ExploratoryStep::run(vec![df.clone(), half.clone()], join).unwrap(),
+            ExploratoryStep::run(vec![df, half], Operation::Union).unwrap(),
+        ];
+        for step in &steps {
+            let cc = ContributionComputer::new(step, InterestingnessKind::Diversity);
+            for (i, input) in step.inputs.iter().enumerate() {
+                for p in build_partitions_for_attr(input, i, "k", &[3], 7).unwrap() {
+                    for column in step.output.column_names() {
+                        let applies = cc.contribution_by_rerun(i, &[], column).unwrap();
+                        let Some(fast) = cc.contributions(&p, column).unwrap() else {
+                            prop_assert!(applies.is_none(), "{:?} {}", step.op, column);
+                            continue;
+                        };
+                        for (slot, &c_fast) in fast.iter().enumerate() {
+                            let rows = p.rows_by_set().rows_of_slot(slot);
+                            let slow = cc.contribution_by_rerun(i, rows, column).unwrap().unwrap();
+                            prop_assert_eq!(c_fast.to_bits(), slow.to_bits(),
+                                "{:?} input {} {} slot {}: fast {} vs rerun {}",
+                                step.op, i, column, slot, c_fast, slow);
+                        }
+                    }
                 }
             }
         }
