@@ -19,7 +19,9 @@
 
 use std::fmt::Write as _;
 
-use fedex_core::{render_all, to_json_array, ExecutionMode, Fedex, FedexConfig, MAX_WIDTH};
+use fedex_core::{
+    render_all, to_json_array, write_stage_trace_json, ExecutionMode, Fedex, FedexConfig, MAX_WIDTH,
+};
 use fedex_frame::read_csv;
 use fedex_query::{parse_query, Catalog};
 
@@ -444,39 +446,16 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 // Keep --json machine-parseable: with --trace the output
                 // becomes one object embedding the trace, never a JSON
                 // array followed by loose text.
-                let explanations_json = to_json_array(&explanations);
                 return Ok(if trace {
-                    format!(
-                        "{{\"explanations\":{},\"trace\":[{}]}}",
-                        explanations_json,
-                        stage_reports
-                            .iter()
-                            .map(|r| {
-                                let sub = r
-                                    .sub
-                                    .iter()
-                                    .map(|(name, d)| {
-                                        format!(
-                                            "{{\"name\":\"{}\",\"micros\":{}}}",
-                                            name,
-                                            d.as_micros()
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .join(",");
-                                format!(
-                                    "{{\"stage\":\"{}\",\"micros\":{},\"items\":{},\"sub\":[{}]}}",
-                                    r.stage,
-                                    r.elapsed.as_micros(),
-                                    r.items,
-                                    sub
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    )
+                    let mut out = format!(
+                        "{{\"explanations\":{},\"trace\":",
+                        to_json_array(&explanations)
+                    );
+                    write_stage_trace_json(&mut out, &stage_reports);
+                    out.push('}');
+                    out
                 } else {
-                    explanations_json
+                    to_json_array(&explanations)
                 });
             }
             let mut out = if explanations.is_empty() {
@@ -606,6 +585,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedex_serve::Json;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -888,6 +868,36 @@ mod tests {
         assert!(out.starts_with('{') && out.ends_with('}'), "{out}");
         assert!(out.contains("\"explanations\":["));
         assert!(out.contains("\"trace\":[{\"stage\":\"ScoreColumns\""));
+        // Byte for byte the core writers' output: the spans, read back
+        // and written again by `write_stage_trace_json`, give the same
+        // object.
+        let parsed = fedex_serve::json::parse(&out).unwrap();
+        let leak = |j: &Json| -> &'static str { Box::leak(j.as_str().unwrap().into()) };
+        let micros = |j: &Json| {
+            std::time::Duration::from_micros(j.get("micros").and_then(Json::as_f64).unwrap() as u64)
+        };
+        let reports: Vec<fedex_core::StageReport> = parsed
+            .get("trace")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|span| fedex_core::StageReport {
+                stage: leak(span.get("stage").unwrap()),
+                elapsed: micros(span),
+                items: span.get("items").and_then(Json::as_usize).unwrap(),
+                sub: (span.get("sub").and_then(Json::as_arr).unwrap().iter())
+                    .map(|sub| (leak(sub.get("name").unwrap()), micros(sub)))
+                    .collect(),
+                artifacts: Vec::new(),
+            })
+            .collect();
+        let mut want = format!(
+            "{{\"explanations\":{},\"trace\":",
+            parsed.get("explanations").unwrap()
+        );
+        write_stage_trace_json(&mut want, &reports);
+        want.push('}');
+        assert_eq!(out, want);
 
         // And the JSON path.
         let cmd = Command::Explain {

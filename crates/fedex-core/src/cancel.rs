@@ -67,8 +67,8 @@ impl CancelToken {
         }
     }
 
-    /// Trip the explicit cancel flag (e.g. every waiter abandoned the
-    /// run). Idempotent.
+    /// Trip the explicit cancel flag (e.g. the run's waiter left).
+    /// Idempotent.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }

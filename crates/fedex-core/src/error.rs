@@ -19,7 +19,7 @@ pub enum ExplainError {
     /// The run's deadline budget expired before the pipeline finished
     /// (cooperative check via [`crate::cancel::CancelToken`]).
     DeadlineExceeded,
-    /// The run was cancelled — every waiter abandoned it.
+    /// The run was cancelled — its waiter abandoned it.
     Cancelled,
     /// A register or `save_as` would by itself take its session past the
     /// server-wide budget ([`crate::session::SESSION_BUDGET`]); the

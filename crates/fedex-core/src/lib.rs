@@ -66,7 +66,9 @@ pub use session::{
 // report this bound without a direct fedex-stats dependency.
 pub use fedex_stats::sampling::sampling_error_bound;
 pub use skyline::{skyline_indices, weighted_score, StreamingSkyline};
-pub use viz::{write_json_number, write_json_string, Bar, Chart, ChartKind, MAX_WIDTH};
+pub use viz::{
+    write_json_number, write_json_string, write_stage_trace_json, Bar, Chart, ChartKind, MAX_WIDTH,
+};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ExplainError>;

@@ -13,6 +13,8 @@
 
 use std::fmt::Write as _;
 
+use crate::pipeline::StageReport;
+
 /// Widest chart a caller may ask to render. The text grows with `width`
 /// times the number of bars, so an unbounded width lets one request
 /// allocate until the process aborts; the CLI and the server both refuse
@@ -223,6 +225,59 @@ pub fn write_json_number(out: &mut String, x: f64) {
     } else {
         let _ = write!(out, "{x}");
     }
+}
+
+/// Append a pipeline's stage reports to `out` as a JSON array: one
+/// `{"stage","micros","items","sub":[{"name","micros"}]}` object per
+/// stage, plus a `"cache":[{"artifact","hit"}]` list on stages that
+/// consulted the artifact cache. The server's `stage_trace` and
+/// `trace.spans` and the CLI's `--json --trace` all write through it.
+pub fn write_stage_trace_json(out: &mut String, trace: &[StageReport]) {
+    out.push('[');
+    for (i, r) in trace.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"stage\":");
+        write_json_string(out, r.stage);
+        out.push_str(",\"micros\":");
+        write_json_number(out, r.elapsed.as_micros() as f64);
+        out.push_str(",\"items\":");
+        write_json_number(out, r.items as f64);
+        out.push_str(",\"sub\":[");
+        for (j, (name, d)) in r.sub.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            write_json_string(out, name);
+            out.push_str(",\"micros\":");
+            write_json_number(out, d.as_micros() as f64);
+            out.push('}');
+        }
+        out.push(']');
+        if !r.artifacts.is_empty() {
+            // Cache consultations of the stage: which artifacts (input
+            // frames, kernel caches, mined partitions, a whole result)
+            // were warm.
+            out.push_str(",\"cache\":[");
+            for (j, (artifact, hit)) in r.artifacts.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"artifact\":");
+                write_json_string(out, artifact);
+                out.push_str(if *hit {
+                    ",\"hit\":true}"
+                } else {
+                    ",\"hit\":false}"
+                });
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

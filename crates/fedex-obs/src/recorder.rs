@@ -29,7 +29,7 @@ pub struct Event {
     /// Trace id of the request this event belongs to (0 = none).
     pub trace_id: u64,
     /// Event kind: `admit`, `dispatch`, `stage`, `finish`, `error`,
-    /// `reject`, `coalesce`, or `expired`.
+    /// `reject`, or `expired`.
     pub kind: &'static str,
     /// Wire command (`explain`, `register`, ...).
     pub cmd: String,

@@ -18,10 +18,10 @@
 //!   that dominate a cold ScoreColumns stage;
 //! * **admission scheduling** — requests are classified (cheap control
 //!   commands vs. explain-class work) and admitted into bounded priority
-//!   queues with per-session quotas, explicit `overloaded` /
-//!   `quota_exceeded` backpressure, and coalescing of identical
-//!   concurrent explains ([`sched`]); a dedicated control worker keeps
-//!   `ping`/`metrics` fast while long explains run;
+//!   queues with per-session quotas and explicit `overloaded` /
+//!   `quota_exceeded` backpressure ([`sched`]); every admitted request
+//!   is its own job under its own deadline, and a dedicated control
+//!   worker keeps `ping`/`metrics` fast while long explains run;
 //! * **transport** — newline-delimited JSON over TCP (one request object
 //!   per line) with a minimal HTTP/1.1 fallback (`POST /api`,
 //!   `GET /metrics`, `GET /healthz`, `GET /debug/requests`) on the same
@@ -59,9 +59,8 @@
 //!
 //! Determinism contract: explanations served over the wire are
 //! byte-identical to the serial CLI path — the cache only memoizes pure
-//! derivations, coalesced requests share one deterministic pipeline run,
-//! and the pipeline is deterministic under every execution mode (pinned
-//! by the integration tests and the golden fixtures).
+//! derivations, and the pipeline is deterministic under every execution
+//! mode (pinned by the integration tests and the golden fixtures).
 
 #![deny(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Admission scheduling: classify, enqueue, bound, coalesce.
+//! Admission scheduling: classify, enqueue, bound.
 //!
 //! PR 4's server handed each accepted connection to a fixed worker pool —
 //! a request then occupied its worker for the whole explain, so four long
@@ -22,14 +22,11 @@
 //!    `session_quota` heavy requests already queued or running gets
 //!    `quota_exceeded` — backpressure is explicit, queueing is never
 //!    unbounded;
-//! 4. identical concurrent `explain`s **coalesce**: a request whose
-//!    (session, sql, save_as, top, width) signature matches one already
-//!    queued or running attaches to that job instead of enqueueing a
-//!    duplicate, and every attached client receives the one computed
-//!    response (pipeline determinism makes it byte-identical to what a
-//!    private run would have produced). Coalesced followers consume no
-//!    queue slot and no quota, and the session records one history
-//!    entry for the shared run.
+//! 4. every admitted request is **its own job** with exactly one waiter:
+//!    it runs under its own deadline token, charges its own quota slot
+//!    and records its own history entry. Identical requests share work
+//!    only through the artifact cache (frames, kernels, partitions,
+//!    results), never by sharing another request's run.
 //!
 //! Connection I/O threads block on their job's completion, so the wire
 //! contract is unchanged: one response line per request line, in order,
@@ -37,7 +34,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -64,7 +61,7 @@ pub enum RequestClass {
     /// prioritized control queue, never starved behind explains.
     Control,
     /// O(rows) work: `explain`, `register`, `register_demo`. Bounded
-    /// queue, per-session quotas, coalescing.
+    /// queue, per-session quotas.
     Heavy,
 }
 
@@ -113,7 +110,7 @@ pub struct SchedulerConfig {
     /// the sampling path (see [`DegradeMode`]).
     pub queue_depth: usize,
     /// Max heavy requests one session may have queued + running; the next
-    /// one is answered `quota_exceeded`. Coalesced followers don't count.
+    /// one is answered `quota_exceeded`.
     pub session_quota: usize,
     /// Deadline budget stamped on requests that don't carry their own
     /// `deadline_ms` field. `0` means no default deadline.
@@ -146,14 +143,12 @@ pub struct SchedMetrics {
     pub rejected_overloaded: AtomicU64,
     /// Requests answered `quota_exceeded`.
     pub rejected_quota: AtomicU64,
-    /// Explains that attached to an identical in-flight job.
-    pub coalesced: AtomicU64,
     /// Jobs fully served (response delivered).
     pub completed: AtomicU64,
     /// Explains admitted on the degraded (sampling) path.
     pub degraded: AtomicU64,
-    /// Heavy jobs whose deadline expired (or whose waiters all left)
-    /// before a worker picked them up — answered typed, never dispatched.
+    /// Heavy jobs whose deadline expired (or whose waiter left) before
+    /// a worker picked them up — answered typed, never dispatched.
     pub expired: AtomicU64,
     /// Waiters that stopped waiting (deadline or disconnect) before their
     /// job's response was published.
@@ -179,8 +174,6 @@ pub struct SchedSnapshot {
     pub rejected_overloaded: u64,
     /// `quota_exceeded` rejections.
     pub rejected_quota: u64,
-    /// Coalesced followers.
-    pub coalesced: u64,
     /// Jobs fully served.
     pub completed: u64,
     /// Degraded admissions.
@@ -208,7 +201,6 @@ impl SchedMetrics {
         let completed = self.completed.load(Ordering::SeqCst);
         let expired = self.expired.load(Ordering::SeqCst);
         let detached = self.detached.load(Ordering::SeqCst);
-        let coalesced = self.coalesced.load(Ordering::SeqCst);
         let degraded = self.degraded.load(Ordering::SeqCst);
         let rejected_overloaded = self.rejected_overloaded.load(Ordering::SeqCst);
         let rejected_quota = self.rejected_quota.load(Ordering::SeqCst);
@@ -219,7 +211,6 @@ impl SchedMetrics {
             admitted_heavy,
             rejected_overloaded,
             rejected_quota,
-            coalesced,
             completed,
             degraded,
             expired,
@@ -239,7 +230,6 @@ impl SchedMetrics {
             ("admitted_heavy", n(m.admitted_heavy)),
             ("rejected_overloaded", n(m.rejected_overloaded)),
             ("rejected_quota", n(m.rejected_quota)),
-            ("coalesced", n(m.coalesced)),
             ("completed", n(m.completed)),
             ("degraded", n(m.degraded)),
             ("expired", n(m.expired)),
@@ -251,17 +241,12 @@ impl SchedMetrics {
     }
 }
 
-/// Completion slot shared by a job and every client waiting on it
-/// (the submitter plus any coalesced followers).
+/// Completion slot shared by a job and the one client waiting on it.
 struct JobState {
     response: Mutex<Option<String>>,
     done: Condvar,
-    /// Clients still waiting on the response: the submitter plus every
-    /// coalesced follower. When the count hits zero before completion the
-    /// last leaver cancels the job — nobody is left to read the result.
-    waiters: AtomicUsize,
     /// Cooperative cancellation shared with the pipeline run: carries the
-    /// job's deadline, and is tripped when every waiter detaches.
+    /// request's deadline, and is tripped when its waiter leaves.
     cancel: CancelToken,
 }
 
@@ -270,7 +255,6 @@ impl JobState {
         Arc::new(JobState {
             response: Mutex::new(None),
             done: Condvar::new(),
-            waiters: AtomicUsize::new(1),
             cancel,
         })
     }
@@ -278,32 +262,6 @@ impl JobState {
     fn complete(&self, response: String) {
         *self.response.lock().expect("job state") = Some(response);
         self.done.notify_all();
-    }
-
-    /// Join as one more waiter — unless every previous waiter already
-    /// left, in which case the job is doomed (its token may be tripped)
-    /// and the arrival must start a fresh job instead.
-    fn try_attach(&self) -> bool {
-        let mut n = self.waiters.load(Ordering::Relaxed);
-        loop {
-            if n == 0 {
-                return false;
-            }
-            match self
-                .waiters
-                .compare_exchange_weak(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return true,
-                Err(current) => n = current,
-            }
-        }
-    }
-
-    /// Leave without a response. Returns `true` when this was the last
-    /// waiter — the caller then cancels the job's token so the pipeline
-    /// aborts at its next checkpoint instead of computing for nobody.
-    fn detach(&self) -> bool {
-        self.waiters.fetch_sub(1, Ordering::Relaxed) == 1
     }
 }
 
@@ -313,8 +271,6 @@ struct Job {
     class: RequestClass,
     /// Session the job charges its quota to (heavy only).
     session: Option<String>,
-    /// Coalescing signature (explain only).
-    signature: Option<String>,
     /// Run on the FEDEX-Sampling path (see [`DegradeMode`]).
     degraded: bool,
     /// Trace id minted at admission (0 when observability is off).
@@ -330,18 +286,6 @@ struct SchedInner {
     heavy: VecDeque<Job>,
     /// Heavy jobs queued + running, per session — the quota denominator.
     per_session: HashMap<String, usize>,
-    /// Explain signature → completion slot of the queued-or-running job
-    /// with that signature; arrivals matching a key attach instead of
-    /// enqueueing.
-    inflight: HashMap<String, Arc<JobState>>,
-    /// Catalog generation, bumped whenever a catalog-mutating request
-    /// (`register`, `register_demo`, `explain` with `save_as`) is
-    /// admitted, in any session. Folded into explain signatures so a
-    /// request submitted *after* a re-register can never attach to an
-    /// in-flight job that read the previous table contents, and a
-    /// session evicted and then created again never reuses an old
-    /// signature.
-    generation: u64,
 }
 
 /// The admission scheduler: bounded priority queues between connection
@@ -374,12 +318,6 @@ impl Scheduler {
         }
     }
 
-    /// The shared counters (for tests; the service exposes them on the
-    /// wire).
-    pub fn metrics(&self) -> &Arc<SchedMetrics> {
-        &self.metrics
-    }
-
     /// Serve one raw request line end to end: parse, admit, wait for a
     /// worker to execute it, return the response line (without trailing
     /// newline). This is what connection threads call; it blocks the
@@ -388,27 +326,17 @@ impl Scheduler {
         self.handle_line_hooked(line, None)
     }
 
-    /// [`Scheduler::handle_line`] with a client-liveness probe: while a
+    /// [`Scheduler::handle_line`] with a client-liveness probe: while the
     /// waiter blocks on its job, `is_alive` is polled once per tick, and
-    /// a `false` detaches the waiter (last one out cancels the job) — a
-    /// closed connection must not pin a coalescing slot or a pipeline
-    /// run for a reader that will never arrive.
+    /// a `false` detaches the waiter and cancels the job — a closed
+    /// connection must not pin a queue slot or a pipeline run for a
+    /// reader that will never arrive.
     pub fn handle_line_hooked(&self, line: &str, is_alive: Option<&dyn Fn() -> bool>) -> String {
-        match json::parse(line) {
-            // Parse errors never reach the queues — answering them is
-            // cheaper than admitting them.
-            Err(_) => self.service.dispatch_line(line),
-            Ok(req) => self.handle_hooked(req, is_alive),
-        }
-    }
-
-    /// [`Scheduler::handle_line`] for an already-parsed request.
-    pub fn handle(&self, req: Json) -> String {
-        self.handle_hooked(req, None)
-    }
-
-    /// [`Scheduler::handle_line_hooked`] for an already-parsed request.
-    pub fn handle_hooked(&self, req: Json, is_alive: Option<&dyn Fn() -> bool>) -> String {
+        // Parse errors never reach the queues — answering them is cheaper
+        // than admitting them.
+        let Ok(req) = json::parse(line) else {
+            return self.service.dispatch_line(line);
+        };
         match self.submit(req) {
             Ok(state) => self.await_response(&state, is_alive),
             Err(rejection) => rejection,
@@ -436,9 +364,8 @@ impl Scheduler {
             0 => CancelToken::new(),
             ms => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
         };
-        // Every request entering admission gets a trace id; rejections,
-        // coalesced attaches, and executed jobs all log flight events
-        // under it.
+        // Every request entering admission gets a trace id; rejections
+        // and executed jobs both log flight events under it.
         let trace_id = self.service.obs().map_or(0, |o| o.mint_trace().id);
 
         let mut inner = self.inner.lock().expect("scheduler");
@@ -455,17 +382,6 @@ impl Scheduler {
                 trace_id,
             ));
         }
-        // Catalog-mutating commands start a new coalescing generation:
-        // explains submitted after this point must never share a pipeline
-        // run with explains over the previous contents.
-        if matches!(cmd, "register" | "register_demo")
-            || (cmd == "explain" && req.get("save_as").is_some())
-        {
-            inner.generation += 1;
-        }
-        // The degrade decision precedes the signature: a degraded explain
-        // renders different output, so it must never coalesce with a full
-        // run (and vice versa).
         let degraded = cmd == "explain"
             && match self.config.degrade {
                 DegradeMode::Off => false,
@@ -483,8 +399,6 @@ impl Scheduler {
                     pressure || too_tight
                 }
             };
-        let signature = (cmd == "explain")
-            .then(|| explain_signature(&req, &session, inner.generation, degraded));
         match class {
             RequestClass::Control => {
                 if inner.control.len() >= CONTROL_QUEUE_DEPTH {
@@ -508,7 +422,6 @@ impl Scheduler {
                     req,
                     class,
                     session: None,
-                    signature: None,
                     degraded: false,
                     trace_id,
                     enqueued: Instant::now(),
@@ -524,26 +437,6 @@ impl Scheduler {
                 Ok(state)
             }
             RequestClass::Heavy => {
-                // Coalesce before any bound is charged: an identical
-                // in-flight explain means no new work at all. Attaching
-                // can fail when every earlier waiter already detached —
-                // that job is doomed (its token may be tripped), so the
-                // arrival falls through and starts a fresh run.
-                if let Some(sig) = &signature {
-                    if let Some(state) = inner.inflight.get(sig) {
-                        if state.try_attach() {
-                            self.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-                            if let Some(obs) = self.service.obs() {
-                                // Followers consume no queue slot and no
-                                // request count; the event is the only
-                                // wire-visible mark the attach leaves.
-                                obs.recorder()
-                                    .push(trace_id, "coalesce", cmd, &session, "", "", 0);
-                            }
-                            return Ok(state.clone());
-                        }
-                    }
-                }
                 let in_session = inner.per_session.get(&session).copied().unwrap_or(0);
                 if in_session >= self.config.session_quota {
                     self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
@@ -594,14 +487,10 @@ impl Scheduler {
                 }
                 let state = JobState::new(cancel);
                 *inner.per_session.entry(session.clone()).or_insert(0) += 1;
-                if let Some(sig) = &signature {
-                    inner.inflight.insert(sig.clone(), state.clone());
-                }
                 inner.heavy.push_back(Job {
                     req,
                     class,
                     session: Some(session),
-                    signature,
                     degraded,
                     trace_id,
                     enqueued: Instant::now(),
@@ -623,11 +512,11 @@ impl Scheduler {
     /// shutdown flag under the same lock workers do, so every admitted
     /// job is eventually executed — but a waiter doesn't have to stay for
     /// it. Deadline expiry and client death *detach* the waiter (counted,
-    /// typed); the last waiter out cancels the job's token so the
-    /// pipeline aborts at its next checkpoint. Detachment happens while
-    /// holding the response lock, so it can never race a concurrent
-    /// publish: either the response is already there (delivered), or the
-    /// worker publishes after we left (discarded, job already cancelled).
+    /// typed) and cancel the job's token, so the pipeline aborts at its
+    /// next checkpoint. Detachment happens while holding the response
+    /// lock, so it can never race a concurrent publish: either the
+    /// response is already there (delivered), or the worker publishes
+    /// after we left (discarded, job already cancelled).
     fn await_response(&self, state: &Arc<JobState>, is_alive: Option<&dyn Fn() -> bool>) -> String {
         let mut slot = state.response.lock().expect("job state");
         loop {
@@ -635,9 +524,7 @@ impl Scheduler {
                 return response.clone();
             }
             if state.cancel.deadline_exceeded() {
-                if state.detach() {
-                    state.cancel.cancel();
-                }
+                state.cancel.cancel();
                 self.metrics.detached.fetch_add(1, Ordering::Relaxed);
                 self.service
                     .metrics()
@@ -650,9 +537,7 @@ impl Scheduler {
             }
             if let Some(alive) = is_alive {
                 if !alive() {
-                    if state.detach() {
-                        state.cancel.cancel();
-                    }
+                    state.cancel.cancel();
                     self.metrics.detached.fetch_add(1, Ordering::Relaxed);
                     self.service
                         .metrics()
@@ -746,16 +631,16 @@ impl Scheduler {
         }
     }
 
-    /// Run one admitted job and publish its response to every waiter.
+    /// Run one admitted job and publish its response to its waiter.
     ///
     /// Heavy jobs run under three layers of protection: already-expired
-    /// or fully-abandoned jobs are answered typed without burning a
-    /// worker; live jobs carry their cancel token into the pipeline; and
-    /// the whole dispatch runs under `catch_unwind`, so a panicking
-    /// explain yields a typed `internal_error` (with a stable incident
-    /// id) instead of killing the worker and leaking the coalescing
-    /// slot. Control jobs always execute — they're cheap, and `shutdown`
-    /// must never be skipped.
+    /// or abandoned jobs are answered typed without burning a worker;
+    /// live jobs carry their cancel token into the pipeline; and the
+    /// whole dispatch runs under `catch_unwind`, so a panicking explain
+    /// yields a typed `internal_error` (with a stable incident id)
+    /// instead of killing the worker and leaking its queue slot. Control
+    /// jobs always execute — they're cheap, and `shutdown` must never be
+    /// skipped.
     fn execute(&self, job: Job) {
         let cmd = job.req.get("cmd").and_then(Json::as_str).unwrap_or("other");
         let session = job.session.as_deref().unwrap_or("");
@@ -765,7 +650,6 @@ impl Scheduler {
             obs.record_admission_wait(heavy, wait);
         }
         let expired = heavy.then(|| job.state.cancel.check().err()).flatten();
-        let mut failed = expired.is_some();
         let response = match expired {
             Some(e) => {
                 self.metrics.expired.fetch_add(1, Ordering::Relaxed);
@@ -806,7 +690,6 @@ impl Scheduler {
                     cancel: heavy.then(|| job.state.cancel.clone()),
                     trace_id: (job.trace_id != 0).then_some(job.trace_id),
                     queue_wait_micros: Some(wait.as_micros() as u64),
-                    waiters: job.state.waiters.load(Ordering::Relaxed),
                 };
                 if let Some(obs) = self.service.obs() {
                     obs.recorder()
@@ -836,7 +719,6 @@ impl Scheduler {
                         response
                     }
                     Err(_) => {
-                        failed = true;
                         let incident =
                             format!("inc-{:08x}", self.incidents.fetch_add(1, Ordering::Relaxed));
                         let server = self.service.metrics();
@@ -878,20 +760,7 @@ impl Scheduler {
                 }
             }
         };
-        // A panicked or expired job must stop coalescing *before* its
-        // response is visible: the stored error describes this run's
-        // fate, not the query, and a same-signature arrival that
-        // attached after publication would inherit it. Waiters already
-        // attached shared the doomed run and correctly see the error.
-        if failed {
-            if let Some(sig) = &job.signature {
-                self.inner.lock().expect("scheduler").inflight.remove(sig);
-            }
-        }
         job.state.complete(response);
-        // Release bookkeeping only after the response is visible: a
-        // same-signature arrival in between attaches and immediately
-        // finds the stored (deterministic, run-independent) response.
         if job.class == RequestClass::Heavy {
             let mut inner = self.inner.lock().expect("scheduler");
             if let Some(session) = &job.session {
@@ -902,43 +771,12 @@ impl Scheduler {
                     }
                 }
             }
-            if let Some(sig) = &job.signature {
-                // A failed job's entry is already gone (removed above) —
-                // and a fresh same-signature run may have re-inserted the
-                // key since, so removing again would orphan *that* job.
-                if !failed {
-                    inner.inflight.remove(sig);
-                }
-            }
             self.metrics
                 .running_heavy_now
                 .fetch_sub(1, Ordering::Relaxed);
         }
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// The coalescing key of an explain: every field that shapes the
-/// response — including `trace`, since a traced response carries a span
-/// object an untraced client never asked for — plus the catalog
-/// generation (so explains across a re-register never share a run) and
-/// the degrade decision (a sampled run must never stand in for a full
-/// one).
-fn explain_signature(req: &Json, session: &str, generation: u64, degraded: bool) -> String {
-    let field = |k: &str| {
-        req.get(k)
-            .map(Json::to_string)
-            .unwrap_or_else(|| "~".to_string())
-    };
-    format!(
-        "{session}\u{1}{generation}\u{1}{}\u{1}{}\u{1}{}\u{1}{}\u{1}{}\u{1}{}",
-        field("sql"),
-        field("save_as"),
-        field("top"),
-        field("width"),
-        field("trace"),
-        u8::from(degraded),
-    )
 }
 
 /// A typed rejection: `{"ok":false,"code":…,"error":…}` as one line.
@@ -963,46 +801,6 @@ mod tests {
         for cmd in ["ping", "metrics", "history", "sessions", "shutdown", "wat"] {
             assert_eq!(classify(cmd), RequestClass::Control, "{cmd}");
         }
-    }
-
-    #[test]
-    fn signatures_distinguish_response_shaping_fields() {
-        let base = json::parse(r#"{"cmd":"explain","sql":"SELECT 1"}"#).unwrap();
-        let with_top = json::parse(r#"{"cmd":"explain","sql":"SELECT 1","top":2}"#).unwrap();
-        let other_sql = json::parse(r#"{"cmd":"explain","sql":"SELECT 2"}"#).unwrap();
-        assert_eq!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&base, "s", 0, false)
-        );
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&with_top, "s", 0, false)
-        );
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&other_sql, "s", 0, false)
-        );
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&base, "t", 0, false),
-            "sessions never share history side effects"
-        );
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&base, "s", 1, false),
-            "a re-register bumps the generation and splits the key"
-        );
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&base, "s", 0, true),
-            "a degraded run never stands in for a full one"
-        );
-        let traced = json::parse(r#"{"cmd":"explain","sql":"SELECT 1","trace":true}"#).unwrap();
-        assert_ne!(
-            explain_signature(&base, "s", 0, false),
-            explain_signature(&traced, "s", 0, false),
-            "a traced response must never be shared with an untraced client"
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! behind long explains (a dedicated control worker guarantees this even
 //! when every general worker is busy), a full explain queue is answered
 //! with the typed `overloaded` error instead of queueing without bound,
-//! and identical concurrent explains coalesce into one pipeline run.
+//! and every request runs as its own job under its own deadline.
 //! `GET /healthz` bypasses the queues entirely so liveness probes stay
 //! meaningful under overload.
 //!

@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use fedex_core::cache::ARTIFACTS;
 use fedex_core::{
-    sampling_error_bound, to_json_array, CancelToken, ExplainError, SessionManager, StageReport,
-    MAX_WIDTH, RESULTS_STAGE,
+    sampling_error_bound, to_json_array, write_stage_trace_json, CancelToken, ExplainError,
+    SessionManager, StageReport, MAX_WIDTH, RESULTS_STAGE,
 };
 use fedex_frame::{Column, DataFrame};
 use fedex_obs::{parse_trace_id, trace_id_str, HistSnapshot, Obs, PromWriter};
@@ -153,7 +153,8 @@ impl ServerMetrics {
 }
 
 /// Per-job execution context the scheduler attaches to a dispatch: the
-/// degradation decision and the cancellation token waiters share.
+/// degradation decision and the cancellation token the job's waiter
+/// shares.
 #[derive(Debug, Clone, Default)]
 pub struct JobContext {
     /// Serve this explain on the FEDEX-Sampling path and mark the
@@ -168,9 +169,6 @@ pub struct JobContext {
     /// Microseconds the job waited in its admission queue before a
     /// worker picked it up.
     pub queue_wait_micros: Option<u64>,
-    /// Clients attached to the job at dispatch (submitter + coalesced
-    /// followers); `> 1` marks the run as coalesced in traces.
-    pub waiters: usize,
 }
 
 /// The shared request handler: a [`SessionManager`] plus server state.
@@ -233,52 +231,6 @@ fn sessions_json(manager: &SessionManager) -> Json {
         ("evictions", n(m.evictions as f64)),
         ("budget", n(m.budget as f64)),
     ])
-}
-
-fn trace_json(trace: &[StageReport]) -> Json {
-    Json::Arr(
-        trace
-            .iter()
-            .map(|r| {
-                let mut fields = vec![
-                    ("stage", s(r.stage)),
-                    ("micros", n(r.elapsed.as_micros() as f64)),
-                    ("items", n(r.items as f64)),
-                    (
-                        "sub",
-                        Json::Arr(
-                            r.sub
-                                .iter()
-                                .map(|(name, d)| {
-                                    obj([("name", s(*name)), ("micros", n(d.as_micros() as f64))])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if !r.artifacts.is_empty() {
-                    // Cache consultations of the stage: which artifacts
-                    // (input frames, kernel caches, mined partitions, a
-                    // whole result) were warm.
-                    fields.push((
-                        "cache",
-                        Json::Arr(
-                            r.artifacts
-                                .iter()
-                                .map(|(artifact, hit)| {
-                                    obj([
-                                        ("artifact", s(artifact.clone())),
-                                        ("hit", Json::Bool(*hit)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                obj(fields)
-            })
-            .collect(),
-    )
 }
 
 /// Percentile summary of one histogram snapshot (microsecond units).
@@ -792,6 +744,10 @@ impl ExplainService {
             .and_then(|r| r.sub.iter().find(|(name, _)| *name == "encode"))
             .map_or(0.0, |(_, d)| d.as_micros() as f64);
         let total_micros: u64 = trace.iter().map(|r| r.elapsed.as_micros() as u64).sum();
+        let mut stage_trace = String::new();
+        write_stage_trace_json(&mut stage_trace, &trace);
+        // A traced reply carries the same spans twice: built once, copied.
+        let spans = want_trace.then(|| Json::Raw(stage_trace.clone()));
         let mut fields = vec![
             ("session", s(session)),
             ("sql", s(sql)),
@@ -799,7 +755,7 @@ impl ExplainService {
             ("n_rows_out", n(entry.summary.n_rows_out as f64)),
             ("explanations", explanations),
             ("rendered", s(rendered)),
-            ("stage_trace", trace_json(&trace)),
+            ("stage_trace", Json::Raw(stage_trace)),
             ("encode_micros", n(encode_micros)),
         ];
         if degraded {
@@ -816,7 +772,7 @@ impl ExplainService {
             self.est_explain_micros
                 .store(total_micros, Ordering::Relaxed);
         }
-        if want_trace {
+        if let Some(spans) = spans {
             // `total_micros` is the sum of the per-stage spans by
             // construction, so clients can check that the spans account
             // for the whole pipeline wall time.
@@ -830,8 +786,7 @@ impl ExplainService {
                         job.queue_wait_micros.map_or(Json::Null, |q| n(q as f64)),
                     ),
                     ("degraded", Json::Bool(degraded)),
-                    ("coalesced", Json::Bool(job.waiters > 1)),
-                    ("spans", trace_json(&trace)),
+                    ("spans", spans),
                 ]),
             ));
         }
@@ -1087,12 +1042,6 @@ impl ExplainService {
             );
             counter(
                 &mut w,
-                "fedex_sched_coalesced_total",
-                "Explains that attached to an identical in-flight job.",
-                sc.coalesced,
-            );
-            counter(
-                &mut w,
                 "fedex_sched_completed_total",
                 "Jobs fully served.",
                 sc.completed,
@@ -1279,8 +1228,10 @@ mod tests {
         ])
     }
 
-    /// The stage names of an explain reply's `stage_trace`.
+    /// The stage names of an explain reply's `stage_trace`, read back from
+    /// the encoded reply as a client would (the field is spliced raw).
     fn stages(r: &Json) -> Vec<String> {
+        let r = json::parse(&r.encode()).unwrap();
         r.get("stage_trace")
             .and_then(Json::as_arr)
             .unwrap_or_else(|| panic!("{r:?}"))

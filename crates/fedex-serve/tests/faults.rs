@@ -1,7 +1,8 @@
 //! Failure-path contracts over a real loopback socket: injected panics
 //! answer typed and the session recovers, expired deadlines answer fast
-//! and typed, a disconnected leader never leaks the coalescing slot, and
-//! degraded explains are deterministic.
+//! and typed, each request keeps its own deadline beside an identical
+//! concurrent one, a disconnected client's job is cancelled and frees its
+//! slots, and degraded explains are deterministic.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -12,6 +13,14 @@ use fedex_serve::{
 };
 
 const SQL: &str = "SELECT * FROM spotify WHERE popularity > 65";
+
+/// Large enough that a cold explain takes O(seconds), far past the short
+/// deadlines below.
+const BIG_ROWS: usize = 150_000;
+
+/// Rows for the two-request deadline tests: a full run must take several
+/// times the 300 ms budget even on a fast host.
+const RACE_ROWS: usize = 300_000;
 
 fn boot(degrade: DegradeMode) -> ServerHandle {
     let service = Arc::new(ExplainService::default());
@@ -50,8 +59,8 @@ fn code_of(r: &Json) -> Option<&str> {
     r.get("code").and_then(Json::as_str)
 }
 
-/// Poll the scheduler gauges until all queues are empty — a leaked job or
-/// coalescing slot shows up as a gauge that never drains.
+/// Poll the scheduler gauges until all queues are empty — a leaked job
+/// shows up as a gauge that never drains.
 fn assert_drains(addr: &str) {
     let mut probe = Client::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -105,7 +114,7 @@ fn injected_panic_answers_typed_and_the_session_recovers() {
 
     // Faults off: the same session, same connection, same query must
     // succeed — the panic poisoned nothing that recovery can't clear, and
-    // the failed run left no coalescing entry to collide with.
+    // the failed run freed its queue and quota slots.
     handle.service().set_faults(None);
     let r = c
         .request(&req(&format!(
@@ -123,7 +132,7 @@ fn expired_deadline_answers_fast_and_typed() {
     let addr = handle.addr().to_string();
     // Big enough that a cold explain takes O(seconds) — the 300ms budget
     // below cannot fit it.
-    register(&addr, "s", 150_000);
+    register(&addr, "s", BIG_ROWS);
 
     let mut c = Client::connect(&addr).unwrap();
     let t0 = Instant::now();
@@ -156,13 +165,13 @@ fn expired_deadline_answers_fast_and_typed() {
 }
 
 #[test]
-fn disconnected_leader_leaks_no_coalescing_slot() {
+fn disconnected_client_cancels_and_frees_its_job() {
     let handle = boot(DegradeMode::Off);
     let addr = handle.addr().to_string();
-    register(&addr, "s", 150_000);
+    register(&addr, "s", BIG_ROWS);
 
-    // Leader: submit the explain and hang up without reading — its waiter
-    // detaches once the liveness probe sees the dead socket.
+    // Submit the explain and hang up without reading — its waiter detaches
+    // once the liveness probe sees the dead socket, and cancels the job.
     {
         let mut s = std::net::TcpStream::connect(&addr).unwrap();
         s.write_all(
@@ -173,10 +182,8 @@ fn disconnected_leader_leaks_no_coalescing_slot() {
         std::thread::sleep(Duration::from_millis(150));
     }
 
-    // Follower with the identical query: it either attaches to the
-    // leader's still-running job (and inherits its response) or — if the
-    // leader's detach already doomed that job — starts a fresh run. Both
-    // must answer ok.
+    // The identical query on a live connection is its own job: it runs
+    // once the cancelled one has let go of the session, and answers ok.
     let mut c = Client::connect(&addr).unwrap();
     let r = c
         .request(&req(&format!(
@@ -185,14 +192,96 @@ fn disconnected_leader_leaks_no_coalescing_slot() {
         .unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
 
-    // A third identical explain after everything settled: a leaked
-    // in-flight signature would wedge or mis-coalesce it.
+    // A third identical explain after everything settled: a job or quota
+    // slot leaked by the cancelled run would wedge it.
     let r = c
         .request(&req(&format!(
             r#"{{"cmd":"explain","session":"s","sql":"{SQL}"}}"#
         )))
         .unwrap();
     assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    assert_drains(&addr);
+    handle.stop().unwrap();
+}
+
+/// Wait until a heavy job is running.
+fn await_running(addr: &str) {
+    let mut probe = Client::connect(addr).unwrap();
+    let t0 = Instant::now();
+    loop {
+        let m = probe.request(&req(r#"{"cmd":"metrics"}"#)).unwrap();
+        let running = m
+            .get("scheduler")
+            .and_then(|s| s.get("running_heavy"))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
+        if running > 0.0 {
+            return;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "explain never started"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Send one explain of [`SQL`] in session `s`, with `extra` fields spliced
+/// into the request; returns the reply and its round-trip time.
+fn timed_explain(addr: &str, extra: &str) -> (Json, Duration) {
+    let mut c = Client::connect(addr).unwrap();
+    let t0 = Instant::now();
+    let r = c
+        .request(&req(&format!(
+            r#"{{"cmd":"explain","session":"s","sql":"{SQL}"{extra}}}"#
+        )))
+        .unwrap();
+    (r, t0.elapsed())
+}
+
+#[test]
+fn a_request_without_a_deadline_outlives_an_identical_short_one() {
+    let handle = boot(DegradeMode::Off);
+    let addr = handle.addr().to_string();
+    register(&addr, "s", RACE_ROWS);
+
+    let short = {
+        let addr = addr.clone();
+        std::thread::spawn(move || timed_explain(&addr, r#","deadline_ms":800"#))
+    };
+    await_running(&addr);
+    // The identical request arrives while the short one runs. It carries
+    // no deadline of its own (the 300 s server default applies), so the
+    // other request's 800 ms budget must not end it.
+    let (r, _) = timed_explain(&addr, "");
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    let (short, _) = short.join().unwrap();
+    assert_eq!(code_of(&short), Some("deadline_exceeded"), "{short:?}");
+    assert_drains(&addr);
+    handle.stop().unwrap();
+}
+
+#[test]
+fn a_short_deadline_expires_on_time_beside_an_identical_long_run() {
+    let handle = boot(DegradeMode::Off);
+    let addr = handle.addr().to_string();
+    register(&addr, "s", RACE_ROWS);
+
+    let long = {
+        let addr = addr.clone();
+        std::thread::spawn(move || timed_explain(&addr, ""))
+    };
+    await_running(&addr);
+    // The identical request with a 300 ms budget answers at its own
+    // deadline, not when the other request's run completes.
+    let (r, short_elapsed) = timed_explain(&addr, r#","deadline_ms":300"#);
+    assert_eq!(code_of(&r), Some("deadline_exceeded"), "{r:?}");
+    let (long, long_elapsed) = long.join().unwrap();
+    assert_eq!(long.get("ok"), Some(&Json::Bool(true)), "{long:?}");
+    assert!(
+        short_elapsed * 2 < long_elapsed,
+        "the 300 ms request took {short_elapsed:?}, the full run {long_elapsed:?}"
+    );
     assert_drains(&addr);
     handle.stop().unwrap();
 }

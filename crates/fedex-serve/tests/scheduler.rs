@@ -5,9 +5,7 @@
 //!   blocked every other client for the whole explain);
 //! * a full heavy queue answers the typed `overloaded` error and a
 //!   session past its quota gets `quota_exceeded` — never unbounded
-//!   queueing;
-//! * identical concurrent explains coalesce into one pipeline run whose
-//!   response every attached client receives byte-for-byte.
+//!   queueing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -237,71 +235,6 @@ fn full_queue_and_quota_violations_get_typed_errors() {
     let m = probe.request(&req(r#"{"cmd":"metrics"}"#)).unwrap();
     assert!(sched_gauge(&m, "rejected_quota") >= 1.0);
     assert!(sched_gauge(&m, "rejected_overloaded") >= 1.0);
-    handle.stop().unwrap();
-}
-
-#[test]
-fn identical_concurrent_explains_coalesce_into_one_run() {
-    // Quota 1 makes the contract sharp: the follower is only admitted at
-    // all because it attaches to the in-flight identical job instead of
-    // charging the quota.
-    let handle = boot(2, 16, 1);
-    let addr = handle.addr().to_string();
-    register_big(&addr, "s");
-
-    let leader = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).unwrap();
-            c.request_raw(&explain_req("s", SQL).to_string()).unwrap()
-        })
-    };
-    // Give the leader time to be admitted and start running.
-    let mut probe = Client::connect(&addr).unwrap();
-    let t0 = Instant::now();
-    loop {
-        let m = probe.request(&req(r#"{"cmd":"metrics"}"#)).unwrap();
-        if sched_gauge(&m, "running_heavy") > 0.0 {
-            break;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "leader never started"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let mut follower_client = Client::connect(&addr).unwrap();
-    let follower = follower_client
-        .request_raw(&explain_req("s", SQL).to_string())
-        .unwrap();
-    let leader = leader.join().unwrap();
-
-    let leader_json = json::parse(&leader).unwrap();
-    assert_eq!(leader_json.get("ok"), Some(&Json::Bool(true)), "{leader}");
-    // If the follower arrived in the coalescing window it shares the
-    // leader's response verbatim; metrics tell us whether it did.
-    let m = probe.request(&req(r#"{"cmd":"metrics"}"#)).unwrap();
-    if sched_gauge(&m, "coalesced") >= 1.0 {
-        assert_eq!(leader, follower, "coalesced responses must be one object");
-        // One pipeline run → one history entry for the shared job.
-        let h = probe
-            .request(&req(r#"{"cmd":"history","session":"s"}"#))
-            .unwrap();
-        assert_eq!(
-            h.get("entries").unwrap().as_arr().unwrap().len(),
-            1,
-            "coalesced explains share one history entry: {h:?}"
-        );
-    } else {
-        // Fell outside the window (leader finished first): the follower
-        // ran privately and must still be ok + byte-identical rendering.
-        let follower_json = json::parse(&follower).unwrap();
-        assert_eq!(follower_json.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(
-            leader_json.get("rendered").and_then(Json::as_str),
-            follower_json.get("rendered").and_then(Json::as_str),
-        );
-    }
     handle.stop().unwrap();
 }
 

@@ -292,6 +292,11 @@ fn traced_explain_reports_spans_and_resolves_in_the_flight_recorder() {
     );
     let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
     assert_eq!(spans.len(), 5, "one span per pipeline stage: {spans:?}");
+    assert_eq!(
+        cold.get("stage_trace"),
+        trace.get("spans"),
+        "stage_trace and trace.spans are one stage trace"
+    );
     let span_sum: f64 = spans
         .iter()
         .map(|s| s.get("micros").and_then(Json::as_f64).unwrap())
