@@ -19,9 +19,11 @@
 //!   input, keyed by its content fingerprint, the set counts and the
 //!   mining seed. Partitions come from the input, not the query, so *any*
 //!   later step over the same table — another filter, a group-by, the
-//!   same table as a join or union arm — skips mining. The entry is
-//!   charged for its distinct row payloads only: a many-to-one partition
-//!   shares its via column's frequency payload (see [`crate::partition`]);
+//!   same table as a join or union arm — skips mining. A partition's row
+//!   payload is its CSR row index, built when it is mined, so a hit also
+//!   skips grouping rows by set. The entry is charged for its distinct
+//!   payloads only, indexes included: a many-to-one partition shares its
+//!   via column's frequency payload (see [`crate::partition`]);
 //! * **explain results** — the whole `Arc<[Explanation]>` of one session
 //!   step, keyed by the step fingerprint folded with every configuration
 //!   field that shapes the output (`results_key`; `sample_size` among
@@ -435,7 +437,7 @@ impl ArtifactCache {
 
     /// Insert (or refresh) the mined partitions of one input; `rebuild` is
     /// the measured mining time. The entry is charged for its distinct row
-    /// payloads, not once per partition.
+    /// indexes, not once per partition.
     pub fn put_partitions(
         &self,
         input: Fingerprint,
@@ -776,6 +778,66 @@ mod tests {
         assert!(cache.get_partitions(fp, &[5], 2).is_none());
         assert!(cache.get_frame(fp).is_none(), "namespaces are distinct");
         assert_eq!(cache.metrics().entries, 1);
+    }
+
+    /// A cached partition list keeps its row indexes: a later explain over
+    /// the same input takes every partition from the cache and groups no
+    /// rows again, and the entry was charged for the indexes at insertion.
+    #[test]
+    fn cached_partitions_keep_their_indexes() {
+        use crate::partition::RowSetIndex;
+        use crate::pipeline::{ExplainPipeline, PartitionRows, ScoreColumns, Stage};
+        use fedex_query::{ExploratoryStep, Expr, Operation};
+
+        let df = DataFrame::new(vec![
+            Column::from_ints("k", (0..600).map(|i| i % 7).collect()),
+            Column::from_ints("x", (0..600).map(|i| i % 17).collect()),
+            Column::from_ints("y", (0..600).map(|i| (i * i) % 5).collect()),
+        ])
+        .unwrap();
+        let cache = Arc::new(ArtifactCache::default());
+        let config = crate::Fedex::new()
+            .with_cache(cache.clone())
+            .config()
+            .clone();
+        let partitioned = |threshold: i64| {
+            let filter = Operation::filter(Expr::col("k").gt(Expr::lit(threshold)));
+            let step = ExploratoryStep::run(vec![df.clone()], filter).unwrap();
+            let pipeline = ExplainPipeline::new(&step, &config);
+            let ctx = pipeline.context();
+            let scored = ScoreColumns::builtin().run(ctx, ()).unwrap();
+            PartitionRows { extra: Vec::new() }
+                .run(ctx, scored)
+                .unwrap()
+        };
+        // The list is mined twice and cached on the input's second sighting.
+        partitioned(1);
+        partitioned(2);
+        let cached = cache
+            .get_partitions(df.fingerprint(), &config.set_counts, config.seed)
+            .expect("second sighting caches the partitions");
+
+        let third = partitioned(3);
+        assert!(third
+            .cache_events
+            .contains(&("partitions[0]".to_string(), true)));
+        assert!(!third.partitions.is_empty());
+        for p in &third.partitions {
+            assert!(
+                cached
+                    .iter()
+                    .any(|c| std::ptr::eq(c.rows_by_set(), p.rows_by_set())),
+                "{} ({}) regrouped its rows",
+                p.attr,
+                p.kind.name()
+            );
+        }
+        let distinct: HashSet<*const RowSetIndex> = cached
+            .iter()
+            .map(|p| p.rows_by_set() as *const RowSetIndex)
+            .collect();
+        let index_bytes = distinct.len() * df.n_rows() * std::mem::size_of::<u32>();
+        assert!(partition::approx_bytes(&cached) >= index_bytes);
     }
 
     /// An empty result: charged the 1 KiB floor.

@@ -30,8 +30,9 @@
 //! [`crate::kernel`]: one `ExcKernel` per measured column, cached in a
 //! shared [`ExcKernelCache`] — so the kernels the ScoreColumns stage
 //! built while scoring are reused here verbatim, and evaluating one
-//! partition is one CSR-sharded scatter pass over the rows plus a
-//! slot-range KS sweep, both schedulable across worker threads via
+//! partition is one pass over each slot's rows of the partition's CSR
+//! index, filling its input and output counts at once (weighted by the
+//! step's fan-out), plus a KS sweep, schedulable across worker threads via
 //! [`ContributionComputer::with_intra_mode`] (see the module docs of
 //! [`crate::kernel`]). No boxed `Value` anywhere.
 
@@ -42,7 +43,7 @@ use fedex_query::{AggFunc, ExploratoryStep, Operation, Provenance};
 use fedex_stats::descriptive::{coefficient_of_variation, mean_and_std};
 
 use crate::interestingness::{score_column, InterestingnessKind, Sample};
-use crate::kernel::{self, ExcKernelCache};
+use crate::kernel::{ExcKernelCache, FanOut};
 use crate::partition::RowPartition;
 use crate::pipeline::par::ExecutionMode;
 use crate::Result;
@@ -57,8 +58,10 @@ pub struct ContributionComputer<'a> {
     /// partitions, worker threads — and, via [`Self::with_shared`], with
     /// the ScoreColumns stage that already built them while scoring.
     kernels: Arc<ExcKernelCache>,
-    /// Execution mode of the *intra-partition* sharded scatter/sweep
-    /// passes (see [`Self::with_intra_mode`]). `Serial` by default: the
+    /// Per-input fan-out of the step, built on first use and shared with
+    /// the Present stage of the same explain.
+    fan_out: Arc<FanOut>,
+    /// Execution mode of the *intra-partition* fill/sweep passes (see [`Self::with_intra_mode`]). `Serial` by default: the
     /// pipeline's Contribute stage already parallelizes across
     /// `(partition, column)` work units, so intra-partition sharding is
     /// only turned on when those units cannot saturate the thread budget.
@@ -70,35 +73,36 @@ impl<'a> ContributionComputer<'a> {
     /// input once.
     pub fn new(step: &'a ExploratoryStep, kind: InterestingnessKind) -> Self {
         let coded = step.inputs.iter().map(CodedFrame::encode).collect();
-        Self::with_shared(step, kind, Arc::new(coded), Arc::default())
+        let fan_out = Arc::new(FanOut::new(step.inputs.len()));
+        Self::with_shared(step, kind, Arc::new(coded), Arc::default(), fan_out)
     }
 
     /// A computer over already-encoded inputs (one [`CodedFrame`] per
-    /// input dataframe, in order) and a possibly pre-populated kernel
-    /// cache — the pipeline hands over the codes and kernels the
-    /// ScoreColumns stage built while scoring, so no input is encoded and
-    /// no base histogram is gathered twice.
-    pub fn with_shared(
+    /// input dataframe, in order), a possibly pre-populated kernel cache
+    /// and the explain's fan-out table — the pipeline hands over the codes
+    /// and kernels the ScoreColumns stage built while scoring, so no input
+    /// is encoded and no base histogram is gathered twice.
+    pub(crate) fn with_shared(
         step: &'a ExploratoryStep,
         kind: InterestingnessKind,
         coded: Arc<Vec<CodedFrame>>,
         kernels: Arc<ExcKernelCache>,
+        fan_out: Arc<FanOut>,
     ) -> Self {
         ContributionComputer {
             step,
             kind,
             coded,
             kernels,
+            fan_out,
             intra_mode: ExecutionMode::Serial,
         }
     }
 
-    /// This computer with the exceptionality scatter/KS passes sharded
-    /// *within* each partition under `mode` (CSR per-set input shards,
-    /// contiguous out-row shards, slot-range KS sweeps — see
+    /// This computer with the exceptionality fill/KS passes sharded
+    /// *within* each partition under `mode` (contiguous slot ranges — see
     /// [`crate::kernel`]). Results are bit-identical under every mode;
-    /// `Serial` (the default) reproduces the original single-pass scatter
-    /// with zero scheduling overhead.
+    /// `Serial` (the default) has zero scheduling overhead.
     pub fn with_intra_mode(mut self, mode: ExecutionMode) -> Self {
         self.intra_mode = mode;
         self
@@ -122,12 +126,6 @@ impl<'a> ContributionComputer<'a> {
         }
     }
 
-    /// Number of contribution slots for a partition: its sets plus the
-    /// ignore-set when non-empty.
-    pub fn n_slots(partition: &RowPartition) -> usize {
-        kernel::n_slots(partition)
-    }
-
     // ------------------------------------------------ exceptionality ----
 
     fn exceptionality_contributions(
@@ -141,6 +139,7 @@ impl<'a> ContributionComputer<'a> {
         Ok(Some(kernel.contributions(
             self.step,
             partition,
+            &self.fan_out,
             self.intra_mode,
         )))
     }
@@ -168,7 +167,7 @@ impl<'a> ContributionComputer<'a> {
             return Ok(None);
         }
         let n_groups = *n_groups;
-        let n_slots = Self::n_slots(partition);
+        let n_slots = partition.n_slots();
         let agg = aggs.iter().find(|a| a.output_name() == column);
 
         // One pass: per-slot × per-group partials.
@@ -185,26 +184,30 @@ impl<'a> ContributionComputer<'a> {
         let mut vsum = vec![0.0f64; n_slots * n_groups];
         let mut vmin = vec![f64::INFINITY; n_slots * n_groups];
         let mut vmax = vec![f64::NEG_INFINITY; n_slots * n_groups];
-        for (row, g) in group_of_row.iter().enumerate() {
-            let Some(g) = g else { continue };
-            let g = *g as usize;
-            let s = kernel::slot_of(partition, partition.assignment[row]);
-            rows[idx(s, g)] += 1;
-            if let Some(c) = src_col {
-                if let Some(x) = c.f64_at(row) {
-                    let k = idx(s, g);
+        // Slot by slot, rows ascending within each: every accumulator
+        // belongs to one slot, so it sums in row order.
+        let index = partition.rows_by_set();
+        for s in 0..n_slots {
+            for &row in index.rows_of_slot(s) {
+                let row = row as usize;
+                let Some(g) = group_of_row[row] else { continue };
+                let k = idx(s, g as usize);
+                rows[k] += 1;
+                if let Some(c) = src_col {
+                    if let Some(x) = c.f64_at(row) {
+                        vcount[k] += 1;
+                        vsum[k] += x;
+                        if x < vmin[k] {
+                            vmin[k] = x;
+                        }
+                        if x > vmax[k] {
+                            vmax[k] = x;
+                        }
+                    }
+                } else if agg.is_some() {
+                    // bare count: every row counts
                     vcount[k] += 1;
-                    vsum[k] += x;
-                    if x < vmin[k] {
-                        vmin[k] = x;
-                    }
-                    if x > vmax[k] {
-                        vmax[k] = x;
-                    }
                 }
-            } else if agg.is_some() {
-                // bare count: every row counts
-                vcount[idx(s, g)] += 1;
             }
         }
 
@@ -308,17 +311,19 @@ impl<'a> ContributionComputer<'a> {
         // The slot behind each output row; a row another union input
         // sourced is in none (`usize::MAX`).
         let mut slot_of_row = vec![usize::MAX; self.step.output.n_rows()];
-        self.step
-            .provenance
-            .for_each_out_row_from(partition.input_idx, |out_row, in_row| {
-                slot_of_row[out_row] = kernel::slot_of(partition, partition.assignment[in_row]);
-            });
+        let sourced = self.fan_out.of(self.step, partition.input_idx);
+        for s in 0..partition.n_slots() {
+            for &r in partition.rows_by_set().rows_of_slot(s) {
+                let out_rows = sourced.out_rows(r as usize);
+                out_rows.iter().for_each(|&o| slot_of_row[o as usize] = s);
+            }
+        }
         let valued: Vec<(usize, f64)> = slot_of_row
             .iter()
             .enumerate()
             .filter_map(|(row, &slot)| Some((slot, out_col.f64_at(row)?)))
             .collect();
-        let out = (0..Self::n_slots(partition))
+        let out = (0..partition.n_slots())
             .map(|s| {
                 let values: Vec<f64> = valued
                     .iter()
@@ -341,7 +346,7 @@ impl<'a> ContributionComputer<'a> {
     pub fn contribution_by_rerun(
         &self,
         input_idx: usize,
-        set_rows: &[usize],
+        set_rows: &[u32],
         column: &str,
     ) -> Result<Option<f64>> {
         let full = Sample::full(self.step.inputs.len());

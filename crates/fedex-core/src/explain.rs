@@ -124,8 +124,8 @@ pub struct Explanation {
     pub partition_kind: PartitionKind,
     /// Which input dataframe `R` lives in.
     pub input_idx: usize,
-    /// The rows of `R` (indices into that input dataframe).
-    pub set_rows: Vec<usize>,
+    /// Number of rows in `R`.
+    pub set_size: usize,
     /// Raw contribution `C(R, A, Q)`.
     pub contribution: f64,
     /// Standardized contribution `C̄(R, A)`.
@@ -139,14 +139,12 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Approximate size in bytes: the struct, its strings, its rows of
-    /// `R` and its chart.
+    /// Approximate size in bytes: the struct, its strings and its chart.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.column.len()
             + self.set_label.len()
             + self.partition_attr.len()
-            + std::mem::size_of_val(self.set_rows.as_slice())
             + self.caption.len()
             + self.chart.approx_bytes()
     }
@@ -189,8 +187,7 @@ impl Explanation {
         let _ = write!(
             out,
             ",\"input_idx\":{},\"set_size\":{},\"contribution\":",
-            self.input_idx,
-            self.set_rows.len()
+            self.input_idx, self.set_size
         );
         write_json_number(out, self.contribution);
         out.push_str(",\"std_contribution\":");

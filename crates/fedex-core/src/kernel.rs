@@ -15,14 +15,19 @@
 //!   sample (`ExcKernel::base_score`), or one code-scatter pass per side
 //!   under FEDEX-Sampling masks (`ExcKernel::sampled_score`);
 //! * the **per-set contributions** of a row partition
-//!   (`ExcKernel::contributions`) — input-side codes are grouped by slot
-//!   straight off the partition's CSR row index (each set's rows are one
-//!   contiguous range), output-side codes by a sharded scatter pass, then
-//!   each slot's KS subtraction is one linear sweep over the shared code
-//!   space using a reused dense scratch buffer. Every pass is scheduled
-//!   through [`crate::pipeline::par::par_map`] under an
-//!   [`ExecutionMode`], and every schedule produces bit-identical
-//!   results (only per-slot counts feed the KS sweep).
+//!   (`ExcKernel::contributions`), computed from the input side: one pass
+//!   over each slot's contiguous range of the partition's shared CSR row
+//!   index fills both its removed input and output counts — the output
+//!   side weighted by the step's `FanOut` (how many output rows each
+//!   input row sources) for a filter or a join partitioned on the
+//!   column's own input, equal to the input side for a union, whose
+//!   output rows *are* its input rows, and read off the sourced output
+//!   rows for a join column from the other input. Each slot's KS
+//!   subtraction is then one linear sweep over the shared code space
+//!   using a reused dense scratch pair. Slot ranges are scheduled through
+//!   [`crate::pipeline::par::par_map`] under an [`ExecutionMode`], and
+//!   every schedule produces bit-identical results (only per-slot integer
+//!   counts feed the KS sweep).
 //!
 //! Kernels are built once per column in an [`ExcKernelCache`], shared
 //! (`Arc`) between the ScoreColumns and Contribute stages and across
@@ -34,32 +39,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use fedex_frame::{CodedColumn, CodedFrame, NULL_CODE};
 use fedex_query::{ExploratoryStep, Operation, Provenance};
 
 use crate::hist::{ks_sub_counts, CodedHist};
 use crate::interestingness::{for_each_sampled_out_row, Sample};
-use crate::partition::{RowPartition, RowSetIndex, IGNORE};
+use crate::partition::RowPartition;
 use crate::pipeline::par::{effective_workers, par_map, ExecutionMode};
 use crate::Result;
-
-/// Number of contribution slots for a partition: its sets plus the
-/// ignore-set when non-empty.
-pub(crate) fn n_slots(partition: &RowPartition) -> usize {
-    partition.n_sets() + usize::from(partition.ignore_size > 0)
-}
-
-/// Map a row's assignment code to its slot index (ignore → last slot).
-#[inline]
-pub(crate) fn slot_of(partition: &RowPartition, code: u32) -> usize {
-    if code == IGNORE {
-        partition.n_sets()
-    } else {
-        code as usize
-    }
-}
 
 /// Per-column exceptionality kernels, built on first use and shared across
 /// partitions, pipeline stages, and worker threads. An entry of `None`
@@ -351,132 +340,141 @@ impl ExcKernel {
 
     /// Per-slot contributions for one partition.
     ///
-    /// Two sharded passes, both scheduled through
-    /// [`par_map`] under `mode` (`Serial` reproduces the original
-    /// single-pass scatter instruction for instruction):
+    /// Each slot's removed input and output code counts are filled into
+    /// two dense scratch histograms by walking the slot's rows of the
+    /// partition's CSR index, then its KS subtraction is one sweep over the
+    /// code space ([`sweep`]). Input row `r` removes its code once from
+    /// the input and once per output row it sources ([`FanOut`]), each of
+    /// which carries that code when the column comes from the partitioned
+    /// input. A union output row *is* its input row, so its output counts
+    /// are its input counts. A join column from the other input takes the
+    /// codes of the output rows `r` sources.
     ///
-    /// 1. **Scatter** — input-side codes are grouped by slot straight off
-    ///    the partition's CSR [`RowSetIndex`] (each set's rows are a
-    ///    contiguous range, so one work unit per set needs no merge);
-    ///    output-side codes are grouped by contiguous out-row shards whose
-    ///    per-slot segments are merged deterministically in (slot, shard)
-    ///    order.
-    /// 2. **KS sweep** — slots are chunked into contiguous ranges, one
-    ///    work unit per range with its own dense scratch pair.
-    ///
-    /// Only histogram *counts* feed the KS subtraction, and every
-    /// schedule produces identical per-slot counts, so the result is
+    /// Only integer counts feed the KS subtraction, so the result is
     /// bit-identical across `Serial`/`Threads(n)` (pinned by the
     /// `sharded_contributions` property tests and the golden fixtures).
     pub(crate) fn contributions(
         &self,
         step: &ExploratoryStep,
         partition: &RowPartition,
+        fan_out: &FanOut,
         mode: ExecutionMode,
     ) -> Vec<f64> {
-        let n_slots = n_slots(partition);
+        let n_slots = partition.n_slots();
         let p_idx = partition.input_idx;
+        let index = partition.rows_by_set();
         match self {
             ExcKernel::Sourced {
                 src_idx,
                 coded_in,
+                base_in,
+                base_out,
+                base_i,
+                ..
+            } if p_idx == *src_idx => {
+                let codes = coded_in.codes();
+                let sourced = fan_out.of(step, p_idx);
+                sweep(
+                    mode,
+                    n_slots,
+                    base_in.n_codes(),
+                    |s, sign, sub_in, sub_out| {
+                        let (mut n_in, mut n_out) = (0, 0);
+                        for &r in index.rows_of_slot(s) {
+                            let c = codes[r as usize];
+                            if c != NULL_CODE {
+                                let w = sourced.fan_out(r as usize);
+                                sub_in[c as usize] += sign;
+                                sub_out[c as usize] += sign * w;
+                                n_in += 1;
+                                n_out += w;
+                            }
+                        }
+                        (n_in, n_out)
+                    },
+                    |sub_in, n_in, sub_out, n_out| {
+                        base_i
+                            - ks_sub_counts(
+                                base_in.counts(),
+                                sub_in,
+                                base_in.total() - n_in,
+                                base_out.counts(),
+                                sub_out,
+                                base_out.total() - n_out,
+                            )
+                    },
+                )
+            }
+            ExcKernel::Sourced {
                 out_codes,
                 base_in,
                 base_out,
                 base_i,
+                ..
             } => {
-                // Input-side subtractions apply only when the partition is
-                // over the same input that sources the column. The CSR
-                // index is built once per partition and shared by every
-                // column's scatter (and by the Present stage).
-                let sub_in = (p_idx == *src_idx).then(|| {
-                    SlotCodes::from_csr(mode, partition.rows_by_set(), coded_in.codes(), n_slots)
-                });
-                // Output-side subtractions: rows whose partition-side
-                // provenance lands in each set.
-                let p_rows = step
-                    .provenance
-                    .source_rows(p_idx)
-                    .expect("filter/join provenance stores source rows");
-                let sub_out = SlotCodes::group_par(mode, out_codes.len(), n_slots, |out_row| {
-                    Some((
-                        slot_of(partition, partition.assignment[p_rows[out_row]]),
-                        out_codes[out_row],
-                    ))
-                });
-
-                let n_codes = base_in.n_codes();
-                let ranges = slot_ranges(mode, n_slots);
-                let chunks = par_map(mode, &ranges, |&(lo, hi)| {
-                    let mut scratch_in = Scratch::new(n_codes);
-                    let mut scratch_out = Scratch::new(n_codes);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for s in lo..hi {
-                        let in_total = match &sub_in {
-                            Some(g) => {
-                                scratch_in.fill(g.slot(s));
-                                g.total(s)
+                // A join partitioned on the input that does not source the
+                // column: only the output side changes, by the output rows
+                // the slot's rows source.
+                let sourced = fan_out.of(step, p_idx);
+                sweep(
+                    mode,
+                    n_slots,
+                    base_in.n_codes(),
+                    |s, sign, _, counts| {
+                        let mut n = 0;
+                        for &r in index.rows_of_slot(s) {
+                            for &o in sourced.out_rows(r as usize) {
+                                let c = out_codes[o as usize];
+                                if c != NULL_CODE {
+                                    counts[c as usize] += sign;
+                                    n += 1;
+                                }
                             }
-                            None => 0,
-                        };
-                        scratch_out.fill(sub_out.slot(s));
-                        let reduced = ks_sub_counts(
-                            base_in.counts(),
-                            if sub_in.is_some() {
-                                scratch_in.counts()
-                            } else {
-                                &[]
-                            },
-                            base_in.total() - in_total,
-                            base_out.counts(),
-                            scratch_out.counts(),
-                            base_out.total() - sub_out.total(s),
-                        );
-                        out.push(base_i - reduced);
-                        if let Some(g) = &sub_in {
-                            scratch_in.unfill(g.slot(s));
                         }
-                        scratch_out.unfill(sub_out.slot(s));
-                    }
-                    out
-                });
-                chunks.into_iter().flatten().collect()
+                        (0, n)
+                    },
+                    |_, _, counts, n_out| {
+                        base_i
+                            - ks_sub_counts(
+                                base_in.counts(),
+                                &[],
+                                base_in.total(),
+                                base_out.counts(),
+                                counts,
+                                base_out.total() - n_out,
+                            )
+                    },
+                )
             }
             ExcKernel::Union {
-                out_coded,
                 in_codes,
                 in_hists,
                 base_out,
                 base_i,
+                ..
             } => {
-                let sub_in =
-                    SlotCodes::from_csr(mode, partition.rows_by_set(), &in_codes[p_idx], n_slots);
-                let Provenance::Union { source_of_row } = &step.provenance else {
-                    unreachable!("union step has union provenance")
-                };
-                let sub_out = SlotCodes::group_par(mode, source_of_row.len(), n_slots, |out_row| {
-                    let (src, src_row) = source_of_row[out_row];
-                    (src == p_idx).then(|| {
-                        (
-                            slot_of(partition, partition.assignment[src_row]),
-                            out_coded.code(out_row),
-                        )
-                    })
-                });
-
-                let n_codes = base_out.n_codes();
-                let ranges = slot_ranges(mode, n_slots);
-                let chunks = par_map(mode, &ranges, |&(lo, hi)| {
-                    let mut scratch_in = Scratch::new(n_codes);
-                    let mut scratch_out = Scratch::new(n_codes);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for s in lo..hi {
-                        scratch_in.fill(sub_in.slot(s));
-                        scratch_out.fill(sub_out.slot(s));
+                let codes = &in_codes[p_idx];
+                sweep(
+                    mode,
+                    n_slots,
+                    base_out.n_codes(),
+                    |s, sign, counts, _| {
+                        let mut n = 0;
+                        for &r in index.rows_of_slot(s) {
+                            let c = codes[r as usize];
+                            if c != NULL_CODE {
+                                counts[c as usize] += sign;
+                                n += 1;
+                            }
+                        }
+                        (n, n)
+                    },
+                    // The removed output rows are the removed input rows.
+                    |counts, n, _, _| {
                         let mut reduced_i = f64::NEG_INFINITY;
                         for (i, h) in in_hists.iter().enumerate() {
                             let (sub, sub_total) = if i == p_idx {
-                                (scratch_in.counts(), sub_in.total(s))
+                                (counts, n)
                             } else {
                                 (&[] as &[i64], 0)
                             };
@@ -485,20 +483,108 @@ impl ExcKernel {
                                 sub,
                                 h.total() - sub_total,
                                 base_out.counts(),
-                                scratch_out.counts(),
-                                base_out.total() - sub_out.total(s),
+                                counts,
+                                base_out.total() - n,
                             ));
                         }
-                        out.push(base_i - reduced_i);
-                        scratch_in.unfill(sub_in.slot(s));
-                        scratch_out.unfill(sub_out.slot(s));
-                    }
-                    out
-                });
-                chunks.into_iter().flatten().collect()
+                        base_i - reduced_i
+                    },
+                )
             }
         }
     }
+}
+
+/// The output rows each input row sources, one CSR table per input of a
+/// step, each built on first use by a counting sort over the provenance.
+/// A row's fan-out — how many output rows it sources — is 0 or 1 for a
+/// filter, any count for a join side, and 1 for a union input. Shared by
+/// the Contribute kernels and the Present stage of one explain.
+#[derive(Debug)]
+pub(crate) struct FanOut {
+    inputs: Vec<OnceLock<SourcedRows>>,
+}
+
+/// The output rows sourced by each row of one input, ascending per row.
+#[derive(Debug)]
+pub(crate) struct SourcedRows {
+    offsets: Vec<u32>,
+    out_rows: Vec<u32>,
+}
+
+impl SourcedRows {
+    /// The output rows input row `r` sources.
+    pub(crate) fn out_rows(&self, r: usize) -> &[u32] {
+        &self.out_rows[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// How many output rows input row `r` sources.
+    pub(crate) fn fan_out(&self, r: usize) -> i64 {
+        i64::from(self.offsets[r + 1] - self.offsets[r])
+    }
+}
+
+impl FanOut {
+    /// An empty table for a step with `n_inputs` inputs.
+    pub(crate) fn new(n_inputs: usize) -> FanOut {
+        FanOut {
+            inputs: (0..n_inputs).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The output rows sourced by each row of input `input_idx` of `step`.
+    pub(crate) fn of(&self, step: &ExploratoryStep, input_idx: usize) -> &SourcedRows {
+        self.inputs[input_idx].get_or_init(|| {
+            assert!(
+                u32::try_from(step.output.n_rows()).is_ok(),
+                "row indices must fit in u32"
+            );
+            let provenance = &step.provenance;
+            let n_rows = step.inputs[input_idx].n_rows();
+            let mut offsets = vec![0u32; n_rows + 1];
+            provenance.for_each_out_row_from(input_idx, |_, r| offsets[r + 1] += 1);
+            for r in 0..n_rows {
+                offsets[r + 1] += offsets[r];
+            }
+            let mut cursor = offsets[..n_rows].to_vec();
+            let mut out_rows = vec![0u32; offsets[n_rows] as usize];
+            provenance.for_each_out_row_from(input_idx, |o, r| {
+                out_rows[cursor[r] as usize] = o as u32;
+                cursor[r] += 1;
+            });
+            SourcedRows { offsets, out_rows }
+        })
+    }
+}
+
+/// The per-slot KS sweep shared by every contribution path. For each slot
+/// `s`, `fill(s, 1, sub_in, sub_out)` adds the slot's removed input and
+/// output code counts to two zeroed scratch histograms and returns their
+/// totals, `score` turns them into the slot's contribution, and
+/// `fill(s, -1, ..)` restores the zeros — O(slot size) per slot instead of
+/// re-zeroing O(codes). Slots run in contiguous ranges, one [`par_map`]
+/// work unit per range with its own scratch pair.
+fn sweep(
+    mode: ExecutionMode,
+    n_slots: usize,
+    n_codes: usize,
+    fill: impl Fn(usize, i64, &mut [i64], &mut [i64]) -> (i64, i64) + Sync,
+    score: impl Fn(&[i64], i64, &[i64], i64) -> f64 + Sync,
+) -> Vec<f64> {
+    let ranges = slot_ranges(mode, n_slots);
+    let chunks = par_map(mode, &ranges, |&(lo, hi)| {
+        let mut sub_in = vec![0i64; n_codes];
+        let mut sub_out = vec![0i64; n_codes];
+        (lo..hi)
+            .map(|s| {
+                let (n_in, n_out) = fill(s, 1, &mut sub_in, &mut sub_out);
+                let c = score(&sub_in, n_in, &sub_out, n_out);
+                fill(s, -1, &mut sub_in, &mut sub_out);
+                c
+            })
+            .collect::<Vec<_>>()
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 /// Contiguous slot ranges for the per-slot KS sweep: one range per
@@ -525,169 +611,4 @@ fn scatter_masked(codes: &[u32], mask: &[bool], n_codes: usize) -> (Vec<i64>, i6
         }
     }
     (counts, total)
-}
-
-/// Codes grouped by slot via counting sort (CSR layout): `slot(s)` is the
-/// code multiset of slot `s`, `total(s)` its non-null cardinality.
-struct SlotCodes {
-    offsets: Vec<usize>,
-    codes: Vec<u32>,
-}
-
-impl SlotCodes {
-    /// Group `(slot, code)` pairs; [`NULL_CODE`] entries are dropped (null
-    /// values never enter a histogram). The iterator is consumed twice
-    /// conceptually — sizes then scatter — via buffering.
-    fn group(pairs: impl Iterator<Item = (usize, u32)>, n_slots: usize) -> SlotCodes {
-        let mut buffered: Vec<(u32, u32)> = Vec::new();
-        let mut sizes = vec![0usize; n_slots];
-        for (slot, code) in pairs {
-            if code != NULL_CODE {
-                sizes[slot] += 1;
-                buffered.push((slot as u32, code));
-            }
-        }
-        let mut offsets = Vec::with_capacity(n_slots + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for s in &sizes {
-            acc += s;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = offsets[..n_slots].to_vec();
-        let mut codes = vec![0u32; acc];
-        for (slot, code) in buffered {
-            let c = &mut cursor[slot as usize];
-            codes[*c] = code;
-            *c += 1;
-        }
-        SlotCodes { offsets, codes }
-    }
-
-    /// CSR-sharded grouping for assignment-indexed codes: slot `s`'s code
-    /// multiset is a straight gather over the partition index's contiguous
-    /// row range for set `s` — one [`par_map`] work unit per slot, no
-    /// merge pass. Row order within a slot is ascending, exactly like the
-    /// scatter pass this replaces (only counts feed the KS subtraction
-    /// anyway).
-    fn from_csr(
-        mode: ExecutionMode,
-        index: &RowSetIndex,
-        codes: &[u32],
-        n_slots: usize,
-    ) -> SlotCodes {
-        let slots: Vec<usize> = (0..n_slots).collect();
-        let per_slot: Vec<Vec<u32>> = par_map(mode, &slots, |&s| {
-            index
-                .rows_of_slot(s)
-                .iter()
-                .filter_map(|&row| {
-                    let c = codes[row];
-                    (c != NULL_CODE).then_some(c)
-                })
-                .collect()
-        });
-        let mut offsets = Vec::with_capacity(n_slots + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for seg in &per_slot {
-            acc += seg.len();
-            offsets.push(acc);
-        }
-        let mut out = Vec::with_capacity(acc);
-        for seg in per_slot {
-            out.extend_from_slice(&seg);
-        }
-        SlotCodes {
-            offsets,
-            codes: out,
-        }
-    }
-
-    /// Row-range-sharded grouping: items `0..n_items` are split into one
-    /// contiguous shard per effective worker, each shard groups its
-    /// `pair_of` pairs locally (`None` items and [`NULL_CODE`]s are
-    /// dropped), and the shards are merged in **(slot, shard) order** — a
-    /// deterministic layout independent of which worker ran which shard.
-    /// One worker degenerates to the original single scatter pass.
-    fn group_par(
-        mode: ExecutionMode,
-        n_items: usize,
-        n_slots: usize,
-        pair_of: impl Fn(usize) -> Option<(usize, u32)> + Sync,
-    ) -> SlotCodes {
-        let workers = effective_workers(mode, n_items).max(1);
-        if workers <= 1 {
-            return SlotCodes::group((0..n_items).filter_map(pair_of), n_slots);
-        }
-        let chunk = n_items.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n_items)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let shards = par_map(mode, &ranges, |&(lo, hi)| {
-            SlotCodes::group((lo..hi).filter_map(&pair_of), n_slots)
-        });
-        SlotCodes::merge(&shards, n_slots)
-    }
-
-    /// Concatenate per-shard groupings into one: slot `s`'s segment is the
-    /// concatenation of every shard's slot-`s` segment in shard order.
-    fn merge(shards: &[SlotCodes], n_slots: usize) -> SlotCodes {
-        let mut offsets = Vec::with_capacity(n_slots + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for s in 0..n_slots {
-            acc += shards.iter().map(|sh| sh.slot(s).len()).sum::<usize>();
-            offsets.push(acc);
-        }
-        let mut codes = Vec::with_capacity(acc);
-        for s in 0..n_slots {
-            for sh in shards {
-                codes.extend_from_slice(sh.slot(s));
-            }
-        }
-        SlotCodes { offsets, codes }
-    }
-
-    fn slot(&self, s: usize) -> &[u32] {
-        &self.codes[self.offsets[s]..self.offsets[s + 1]]
-    }
-
-    fn total(&self, s: usize) -> i64 {
-        (self.offsets[s + 1] - self.offsets[s]) as i64
-    }
-}
-
-/// A reusable dense count buffer: `fill` a slot's codes, read `counts`,
-/// then `unfill` the same slice — O(slot size) per slot instead of
-/// O(n_codes) re-zeroing, with one allocation for the whole partition.
-struct Scratch {
-    counts: Vec<i64>,
-}
-
-impl Scratch {
-    fn new(n_codes: usize) -> Scratch {
-        Scratch {
-            counts: vec![0; n_codes],
-        }
-    }
-
-    fn fill(&mut self, codes: &[u32]) {
-        for &c in codes {
-            self.counts[c as usize] += 1;
-        }
-    }
-
-    fn counts(&self) -> &[i64] {
-        &self.counts
-    }
-
-    /// Exact inverse of [`Scratch::fill`] on the same slice — restores the
-    /// all-zero state.
-    fn unfill(&mut self, codes: &[u32]) {
-        for &c in codes {
-            self.counts[c as usize] -= 1;
-        }
-    }
 }

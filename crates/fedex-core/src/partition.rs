@@ -3,26 +3,20 @@
 //!
 //! A [`RowPartition`] divides one input dataframe into `n + 1` disjoint
 //! sets-of-rows `{R_1, ..., R_n, R̂}` (Def. 3.8), where `R̂` is the
-//! *ignore-set* that can never become an explanation candidate. For
-//! memory-efficiency the partition is stored as a per-row assignment vector
-//! (`u32` set index; [`IGNORE`] marks the ignore-set) plus per-set metadata,
-//! rather than as materialized index lists.
+//! *ignore-set* that can never become an explanation candidate. The rows
+//! are stored once, as a CSR [`RowSetIndex`] (rows as `u32`): each set's
+//! rows are one contiguous ascending slice, the ignore-set's last. With
+//! one representation, no per-row assignment can disagree with an index
+//! ([`RowPartition::assignment`] materializes one on demand).
 //!
-//! The assignment is the partition's row payload and sits behind an `Arc`:
-//! cloning a [`RowPartition`] copies its set metadata (O(sets)) and shares
-//! the rows. [`mine_input_partitions`] builds each distinct payload once
-//! per input — a many-to-one partition of `A` via `B` *is* `B`'s frequency
-//! partition relabelled, so it points at that payload instead of
-//! rebuilding it — and the cross-request cache holds an input's whole
-//! mined list at the cost of its distinct payloads.
-//!
-//! Row lookups go through [`RowPartition::rows_by_set`], a CSR-style
-//! index (`offsets`/`rows` arrays) built lazily by one counting-sort pass
-//! over the assignment — consumers that need the rows of several sets (the
-//! Present stage, drill-downs, rerun baselines) slice it instead of
-//! re-scanning the full assignment per set. The index belongs to one
-//! handle: a clone starts without it, so partitions held by the cache
-//! never carry one, and each explain builds the indexes it uses.
+//! The index is the partition's row payload and sits behind an `Arc`. It
+//! belongs to the payload, not to one handle: a clone copies the set
+//! metadata (O(sets)) and shares the rows, and [`mine_input_partitions`]
+//! builds each distinct payload once per input — a many-to-one partition
+//! of `A` via `B` *is* `B`'s frequency partition relabelled, so it points
+//! at that payload. The cross-request cache holds an input's mined list
+//! at the cost of its distinct payloads, and an explain over a cached
+//! list groups no rows at all.
 //!
 //! All three builders run entirely on the dense dictionary codes of
 //! [`fedex_frame::codec`] — value counting is an array scatter, the
@@ -33,7 +27,7 @@
 //! `*_coded` variants take pre-encoded columns so the pipeline can encode
 //! each input once; the plain wrappers encode on the fly.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use fedex_frame::{CodedColumn, CodedFrame, DataFrame, NULL_CODE};
 use fedex_stats::binning::{equal_frequency_cut, interval_label, value_tie_runs};
@@ -85,85 +79,104 @@ pub struct SetMeta {
 ///
 /// `rows_of(s)` is the ascending row list of set `s` as a slice —
 /// `offsets` bounds each set's segment of the flat `rows` array. The
-/// ignore-set occupies the last segment. Built by a single counting-sort
-/// pass over the assignment.
+/// ignore-set follows the sets; a last segment holds the rows whose
+/// assignment code named no set, which [`RowPartition::validate`] rejects.
 #[derive(Debug, Clone, Default)]
 pub struct RowSetIndex {
     offsets: Vec<usize>,
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     n_sets: usize,
 }
 
 impl RowSetIndex {
     /// Build the index: one counting pass for segment sizes, one scatter
     /// pass to place each row — O(rows + sets) total.
-    pub fn build(assignment: &[u32], n_sets: usize) -> RowSetIndex {
-        let n_slots = n_sets + 1; // ignore-set last
-        let slot = |a: u32| -> usize {
+    fn build(assignment: &[u32], n_sets: usize) -> RowSetIndex {
+        let segment = |a: u32| -> usize {
             if (a as usize) < n_sets {
                 a as usize
-            } else {
+            } else if a == IGNORE {
                 n_sets
+            } else {
+                n_sets + 1
             }
         };
-        let mut sizes = vec![0usize; n_slots];
+        // The sets, the ignore-set, then codes that name no set.
+        let mut sizes = vec![0usize; n_sets + 2];
         for &a in assignment {
-            sizes[slot(a)] += 1;
+            sizes[segment(a)] += 1;
         }
-        let mut offsets = Vec::with_capacity(n_slots + 1);
+        RowSetIndex::scatter(&sizes, assignment.len(), |i| segment(assignment[i]))
+    }
+
+    /// Place every row `i < n_rows` in segment `segment_of(i)`, whose
+    /// final sizes are `sizes` (the sets, the ignore-set, invalid codes).
+    fn scatter(sizes: &[usize], n_rows: usize, segment_of: impl Fn(usize) -> usize) -> RowSetIndex {
+        assert!(u32::try_from(n_rows).is_ok(), "row indices must fit in u32");
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
         let mut acc = 0usize;
         offsets.push(0);
-        for s in &sizes {
+        for s in sizes {
             acc += s;
             offsets.push(acc);
         }
-        let mut cursor: Vec<usize> = offsets[..n_slots].to_vec();
-        let mut rows = vec![0usize; assignment.len()];
-        for (i, &a) in assignment.iter().enumerate() {
-            let c = &mut cursor[slot(a)];
-            rows[*c] = i;
+        debug_assert_eq!(acc, n_rows, "segment sizes cover every row");
+        let mut cursor: Vec<usize> = offsets[..sizes.len()].to_vec();
+        let mut rows = vec![0u32; n_rows];
+        for i in 0..n_rows {
+            let c = &mut cursor[segment_of(i)];
+            rows[*c] = i as u32;
             *c += 1;
         }
         RowSetIndex {
             offsets,
             rows,
-            n_sets,
+            n_sets: sizes.len() - 2,
         }
+    }
+
+    fn segment(&self, s: usize) -> &[u32] {
+        &self.rows[self.offsets[s]..self.offsets[s + 1]]
+    }
+
+    /// Resident bytes of the index.
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<RowSetIndex>()
+            + std::mem::size_of_val(self.offsets.as_slice())
+            + std::mem::size_of_val(self.rows.as_slice())
     }
 
     /// The rows of set `s`, ascending. [`IGNORE`] selects the ignore-set;
     /// any other out-of-range code yields an empty slice.
-    pub fn rows_of(&self, s: u32) -> &[usize] {
-        let slot = if s == IGNORE {
-            self.n_sets
+    pub fn rows_of(&self, s: u32) -> &[u32] {
+        if s == IGNORE {
+            self.ignore_rows()
         } else if (s as usize) < self.n_sets {
-            s as usize
+            self.segment(s as usize)
         } else {
-            return &[];
-        };
-        &self.rows[self.offsets[slot]..self.offsets[slot + 1]]
+            &[]
+        }
     }
 
     /// The rows of the ignore-set, ascending.
-    pub fn ignore_rows(&self) -> &[usize] {
-        &self.rows[self.offsets[self.n_sets]..]
+    pub fn ignore_rows(&self) -> &[u32] {
+        self.segment(self.n_sets)
     }
 
     /// The rows of contribution *slot* `slot`, ascending — slots `0..n_sets`
     /// are the candidate sets, slot `n_sets` is the ignore-set. This is the
-    /// contiguous-range view the CSR-sharded contribution scatter slices
-    /// per work unit (see [`crate::kernel`]).
-    pub fn rows_of_slot(&self, slot: usize) -> &[usize] {
-        let slot = slot.min(self.n_sets);
-        &self.rows[self.offsets[slot]..self.offsets[slot + 1]]
+    /// contiguous-range view the contribution kernels walk per slot (see
+    /// [`crate::kernel`]).
+    pub fn rows_of_slot(&self, slot: usize) -> &[u32] {
+        self.segment(slot.min(self.n_sets))
     }
 }
 
 /// A partition of one input dataframe into disjoint sets-of-rows.
 ///
-/// Clones share the row payload (`assignment`) and start without a CSR
-/// index, so a clone costs O(sets), not O(rows).
-#[derive(Debug)]
+/// The rows live in one [`RowSetIndex`] behind an `Arc`: clones share it,
+/// so a clone costs O(sets), not O(rows), and no clone ever rebuilds it.
+#[derive(Debug, Clone)]
 pub struct RowPartition {
     /// Which input dataframe of the step this partitions.
     pub input_idx: usize,
@@ -173,19 +186,18 @@ pub struct RowPartition {
     pub kind: PartitionKind,
     /// Per-set metadata, indexed by assignment code.
     pub sets: Vec<SetMeta>,
-    /// Per-row set assignment (`IGNORE` = ignore-set), shared by every
-    /// clone and by every partition relabelled from the same payload.
-    pub assignment: Arc<[u32]>,
     /// Number of rows in the ignore-set.
     pub ignore_size: usize,
-    /// Lazily-built CSR index over `assignment`
-    /// (see [`RowPartition::rows_by_set`]).
-    index: OnceLock<RowSetIndex>,
+    /// The rows grouped by set, shared by every clone and by every
+    /// partition relabelled from the same payload.
+    rows: Arc<RowSetIndex>,
 }
 
 impl RowPartition {
-    /// Assemble a partition from its parts (Def. 3.8 invariants are *not*
-    /// checked here — call [`RowPartition::validate`]).
+    /// Assemble a partition from its parts, grouping the rows of the
+    /// per-row `assignment` (set index, or [`IGNORE`]) into the partition's
+    /// index. Def. 3.8 invariants are *not* checked here — call
+    /// [`RowPartition::validate`].
     pub fn new(
         input_idx: usize,
         attr: impl Into<String>,
@@ -194,14 +206,43 @@ impl RowPartition {
         assignment: Vec<u32>,
         ignore_size: usize,
     ) -> RowPartition {
+        let rows = Arc::new(RowSetIndex::build(&assignment, sets.len()));
         RowPartition {
             input_idx,
             attr: attr.into(),
             kind,
             sets,
-            assignment: assignment.into(),
             ignore_size,
-            index: OnceLock::new(),
+            rows,
+        }
+    }
+
+    /// A mined partition: row `i` is in set `set_of_code[codes[i]]`, or in
+    /// the ignore-set for a null code or an [`IGNORE`] entry; `sets`
+    /// carries each set's row count, so the rows go straight into the
+    /// index in one pass.
+    fn from_codes(
+        input_idx: usize,
+        attr: &str,
+        kind: PartitionKind,
+        sets: Vec<SetMeta>,
+        codes: &[u32],
+        set_of_code: &[u32],
+    ) -> RowPartition {
+        let n_sets = sets.len();
+        let mut sizes: Vec<usize> = sets.iter().map(|s| s.size).collect();
+        sizes.extend([codes.len() - sizes.iter().sum::<usize>(), 0]);
+        let rows = RowSetIndex::scatter(&sizes, codes.len(), |i| match codes[i] {
+            NULL_CODE => n_sets,
+            c => (set_of_code[c as usize] as usize).min(n_sets),
+        });
+        RowPartition {
+            input_idx,
+            attr: attr.to_string(),
+            kind,
+            sets,
+            ignore_size: rows.ignore_rows().len(),
+            rows: Arc::new(rows),
         }
     }
 
@@ -210,14 +251,34 @@ impl RowPartition {
         self.sets.len()
     }
 
-    /// The CSR rows-by-set index, built on first use by one counting-sort
-    /// pass and cached. All production row lookups go through slices of
-    /// this index; the per-set scan [`RowPartition::rows_of_set`] is kept
-    /// as the reference. Callers that replace `assignment` after the index
-    /// was built must rebuild the partition.
+    /// Number of contribution slots: the sets, plus the ignore-set when it
+    /// is non-empty.
+    pub fn n_slots(&self) -> usize {
+        self.n_sets() + usize::from(self.ignore_size > 0)
+    }
+
+    /// Number of rows of the partitioned input.
+    pub fn n_rows(&self) -> usize {
+        self.rows.rows.len()
+    }
+
+    /// The per-row set assignment ([`IGNORE`] = ignore-set), materialized
+    /// from the index in O(rows) for consumers that look rows up in
+    /// provenance order.
+    pub fn assignment(&self) -> Vec<u32> {
+        let mut out = vec![IGNORE; self.n_rows()];
+        for s in (0..self.rows.n_sets).chain([self.rows.n_sets + 1]) {
+            for &r in self.rows.segment(s) {
+                out[r as usize] = s as u32;
+            }
+        }
+        out
+    }
+
+    /// The CSR rows-by-set index, shared by every handle over the same
+    /// rows (clones, relabelled partitions, cached lists).
     pub fn rows_by_set(&self) -> &RowSetIndex {
-        self.index
-            .get_or_init(|| RowSetIndex::build(&self.assignment, self.n_sets()))
+        &self.rows
     }
 
     /// The column whose values *define* the row assignment: `via` for a
@@ -232,41 +293,33 @@ impl RowPartition {
         }
     }
 
-    /// Materialize the row indices of set `s` by a full assignment scan —
-    /// the O(rows) *reference* for [`RowPartition::rows_by_set`], which
-    /// hot paths use instead.
-    pub fn rows_of_set(&self, s: u32) -> Vec<usize> {
-        self.assignment
+    /// The row indices of set `s` by a full assignment scan — the O(rows)
+    /// reference for [`RowPartition::rows_by_set`].
+    pub fn rows_of_set(&self, s: u32) -> Vec<u32> {
+        self.assignment()
             .iter()
             .enumerate()
-            .filter_map(|(i, &a)| (a == s).then_some(i))
+            .filter_map(|(i, &a)| (a == s).then_some(i as u32))
             .collect()
     }
 
     /// Check the Def. 3.8 invariants: every row is in exactly one set or
-    /// the ignore-set, and set sizes match the assignment.
+    /// the ignore-set, and set sizes match the rows.
     pub fn validate(&self) -> Result<()> {
-        let mut sizes = vec![0usize; self.sets.len()];
-        let mut ignored = 0usize;
-        for &a in self.assignment.iter() {
-            if a == IGNORE {
-                ignored += 1;
-            } else if (a as usize) < sizes.len() {
-                sizes[a as usize] += 1;
-            } else {
-                return Err(ExplainError::InvalidConfig(format!(
-                    "assignment code {a} out of range"
-                )));
-            }
+        if let Some(&row) = self.rows.segment(self.rows.n_sets + 1).first() {
+            return Err(ExplainError::InvalidConfig(format!(
+                "assignment code of row {row} out of range"
+            )));
         }
-        if ignored != self.ignore_size {
+        if self.rows.ignore_rows().len() != self.ignore_size {
             return Err(ExplainError::InvalidConfig("ignore size mismatch".into()));
         }
         for (s, meta) in self.sets.iter().enumerate() {
-            if sizes[s] != meta.size {
+            let size = self.rows.segment(s).len();
+            if size != meta.size {
                 return Err(ExplainError::InvalidConfig(format!(
-                    "set {s} size mismatch: {} vs {}",
-                    sizes[s], meta.size
+                    "set {s} size mismatch: {size} vs {}",
+                    meta.size
                 )));
             }
         }
@@ -274,24 +327,8 @@ impl RowPartition {
     }
 }
 
-impl Clone for RowPartition {
-    /// Shares the row payload; the CSR index is per handle and is rebuilt
-    /// on the clone's first [`RowPartition::rows_by_set`] call.
-    fn clone(&self) -> Self {
-        RowPartition {
-            input_idx: self.input_idx,
-            attr: self.attr.clone(),
-            kind: self.kind.clone(),
-            sets: self.sets.clone(),
-            assignment: Arc::clone(&self.assignment),
-            ignore_size: self.ignore_size,
-            index: OnceLock::new(),
-        }
-    }
-}
-
 /// Estimated resident bytes of a list of partitions: the metadata of each
-/// handle plus every *distinct* row payload once (payloads shared between
+/// handle plus every *distinct* row index once (indexes shared between
 /// handles are counted by pointer identity).
 pub(crate) fn approx_bytes(partitions: &[RowPartition]) -> usize {
     let mut payloads = std::collections::HashSet::new();
@@ -304,8 +341,8 @@ pub(crate) fn approx_bytes(partitions: &[RowPartition]) -> usize {
                     .iter()
                     .map(|s| std::mem::size_of::<SetMeta>() + s.label.len())
                     .sum::<usize>();
-            let rows = if payloads.insert(p.assignment.as_ptr()) {
-                std::mem::size_of_val(&*p.assignment)
+            let rows = if payloads.insert(Arc::as_ptr(&p.rows)) {
+                p.rows.approx_bytes()
             } else {
                 0
             };
@@ -362,26 +399,13 @@ pub fn frequency_partition_coded(
             size: counts[c as usize] as usize,
         });
     }
-    let mut assignment = Vec::with_capacity(coded.len());
-    let mut ignore_size = 0usize;
-    for &c in coded.codes() {
-        let s = if c == NULL_CODE {
-            IGNORE
-        } else {
-            set_of_code[c as usize]
-        };
-        if s == IGNORE {
-            ignore_size += 1;
-        }
-        assignment.push(s);
-    }
-    Some(RowPartition::new(
+    Some(RowPartition::from_codes(
         input_idx,
         attr,
         PartitionKind::Frequency,
         sets,
-        assignment,
-        ignore_size,
+        coded.codes(),
+        &set_of_code,
     ))
 }
 
@@ -461,26 +485,13 @@ pub fn numeric_partition_coded(
         });
     }
 
-    let mut assignment = Vec::with_capacity(coded.len());
-    let mut ignore_size = 0usize;
-    for &c in coded.codes() {
-        let s = if c == NULL_CODE {
-            IGNORE
-        } else {
-            bin_of_code[c as usize]
-        };
-        if s == IGNORE {
-            ignore_size += 1;
-        }
-        assignment.push(s);
-    }
-    Some(RowPartition::new(
+    Some(RowPartition::from_codes(
         input_idx,
         attr,
         PartitionKind::NumericBins,
         sets,
-        assignment,
-        ignore_size,
+        coded.codes(),
+        &bin_of_code,
     ))
 }
 
@@ -882,7 +893,7 @@ mod tests {
         .unwrap();
         let p = frequency_partition(&d, 0, "x", 5).unwrap().unwrap();
         assert_eq!(p.ignore_size, 1);
-        assert_eq!(p.assignment[1], IGNORE);
+        assert_eq!(p.assignment()[1], IGNORE);
         p.validate().unwrap();
     }
 
@@ -921,7 +932,7 @@ mod tests {
                 (w.input_idx, &w.attr, &w.kind)
             );
             assert_eq!(g.sets, w.sets);
-            assert_eq!(g.assignment, w.assignment);
+            assert_eq!(g.assignment(), w.assignment());
             assert_eq!(g.ignore_size, w.ignore_size);
         }
         // year via decade shares decade's frequency payload for each n.
@@ -937,23 +948,46 @@ mod tests {
                     .unwrap()
             };
             assert!(Arc::ptr_eq(
-                &of("year", true).assignment,
-                &of("decade", false).assignment
+                &of("year", true).rows,
+                &of("decade", false).rows
             ));
         }
     }
 
     #[test]
-    fn clones_share_rows_but_not_the_index() {
+    fn clones_share_the_index() {
         let p = frequency_partition(&df(), 0, "decade", 3).unwrap().unwrap();
-        p.rows_by_set();
         let q = p.clone();
-        assert!(Arc::ptr_eq(&p.assignment, &q.assignment));
-        assert!(q.index.get().is_none());
-        // Shared payloads are counted once.
+        assert!(Arc::ptr_eq(&p.rows, &q.rows));
+        assert!(std::ptr::eq(p.rows_by_set(), q.rows_by_set()));
+        // The index is the payload: charged once, at one `u32` per row.
         let one = approx_bytes(std::slice::from_ref(&p));
+        assert!(one >= std::mem::size_of::<u32>() * p.n_rows());
         let two = approx_bytes(&[p.clone(), q]);
         assert!(two < 2 * one && two > one, "{one} vs {two}");
+    }
+
+    #[test]
+    fn assignment_round_trips_through_the_index() {
+        let assignment = vec![1, IGNORE, 0, 1, 7, 0];
+        let sets = vec![
+            SetMeta {
+                label: "a".into(),
+                size: 2,
+            },
+            SetMeta {
+                label: "b".into(),
+                size: 2,
+            },
+        ];
+        let p = RowPartition::new(0, "x", PartitionKind::Frequency, sets, assignment, 1);
+        assert_eq!(p.rows_by_set().rows_of(1), &[0, 3]);
+        assert_eq!(p.rows_by_set().ignore_rows(), &[1]);
+        // Code 7 names no set: kept out of every set and the ignore-set,
+        // and rejected by validation.
+        assert_eq!(p.assignment()[..4], [1, IGNORE, 0, 1]);
+        assert!(p.assignment()[4] >= 2);
+        assert!(p.validate().is_err());
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! in `Contribute` (with the skyline fused in: units stream their
 //! candidates into an incremental dominance check as they finish, a unit
 //! whose best possible point is already dominated is skipped, and
-//! leftover threads shard the histogram scatter *inside* a kernel when
+//! leftover threads shard the per-slot sweep *inside* a kernel when
 //! units alone cannot fill the budget) — scheduled by [`par::par_map`]
 //! under the [`ExecutionMode`] chosen in
 //! [`FedexConfig::execution`](crate::FedexConfig). Results are identical
-//! under every mode: parallel maps preserve input order, shard merges are
-//! deterministic, and strict dominance is schedule-independent, so the
+//! under every mode: parallel maps preserve input order, per-slot counts
+//! are schedule-independent, and strict dominance is schedule-independent, so the
 //! skyline, the ranking and the explanations are bit-for-bit the same.
 //! Only the count of candidates Contribute builds can vary with the
 //! schedule under more than one thread.
@@ -49,6 +49,7 @@ use fedex_query::ExploratoryStep;
 
 use crate::explain::{CustomMeasure, Explanation, FedexConfig};
 use crate::interestingness::{InterestingnessKind, Sample};
+use crate::kernel::FanOut;
 use crate::partition::RowPartition;
 use crate::Result;
 use fedex_stats::sampling::uniform_sample_indices;
@@ -71,6 +72,9 @@ pub struct PipelineContext<'a> {
     /// e.g. a standalone PartitionRows run never pays for mask
     /// construction over large inputs.
     sample: std::sync::OnceLock<Sample>,
+    /// How many output rows each input row sources, per input, built on
+    /// first use and shared by Contribute and Present.
+    pub(crate) fan_out: std::sync::Arc<FanOut>,
 }
 
 impl<'a> PipelineContext<'a> {
@@ -85,6 +89,7 @@ impl<'a> PipelineContext<'a> {
             config,
             kind,
             sample: std::sync::OnceLock::new(),
+            fan_out: std::sync::Arc::new(FanOut::new(step.inputs.len())),
         }
     }
 

@@ -4,6 +4,8 @@
 //! knobs (custom measure, user partitions) live on the struct, while
 //! everything shared rides in the [`PipelineContext`].
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -17,7 +19,7 @@ use crate::contribution::{max_standardized, standardized, ContributionComputer};
 use crate::error::ExplainError;
 use crate::explain::{CustomMeasure, Explanation};
 use crate::interestingness::{score_all_columns_coded, InterestingnessKind};
-use crate::kernel::{self, ExcKernelCache};
+use crate::kernel::ExcKernelCache;
 use crate::partition::{
     assemble_input_partitions, mine_attr_payloads, PartitionKind, RowPartition,
 };
@@ -438,9 +440,7 @@ impl Stage for PartitionRows {
 
         for p in &self.extra {
             p.validate()?;
-            if p.input_idx >= step.inputs.len()
-                || p.assignment.len() != step.inputs[p.input_idx].n_rows()
-            {
+            if p.input_idx >= step.inputs.len() || p.n_rows() != step.inputs[p.input_idx].n_rows() {
                 return Err(ExplainError::InvalidConfig(format!(
                     "custom partition on {:?} does not match input {}",
                     p.attr, p.input_idx
@@ -480,7 +480,7 @@ pub enum Contributor<'m> {
 /// through `par_map` (not one coarse unit per partition), so a step with
 /// few partitions but many scored columns still saturates the thread
 /// budget. When even the flattened list is shorter than the budget, the
-/// leftover threads shard the scatter *inside* each kernel (see
+/// leftover threads shard the slot sweep *inside* each kernel (see
 /// [`ContributionComputer::with_intra_mode`]); the two levels never
 /// multiply past `ctx.mode().threads()`. The custom-measure back-end runs
 /// the same unit loop serially.
@@ -523,7 +523,7 @@ fn intra_partition_mode(mode: ExecutionMode, n_units: usize) -> ExecutionMode {
 /// descending slot count, ties in partition order.
 fn unit_schedule(n_columns: usize, partitions: &[RowPartition]) -> Vec<(usize, usize)> {
     let mut by_slots: Vec<usize> = (0..partitions.len()).collect();
-    by_slots.sort_by_key(|&pi| std::cmp::Reverse(ContributionComputer::n_slots(&partitions[pi])));
+    by_slots.sort_by_key(|&pi| std::cmp::Reverse(partitions[pi].n_slots()));
     (0..n_columns)
         .flat_map(|ci| by_slots.iter().map(move |&pi| (pi, ci)))
         .collect()
@@ -561,7 +561,7 @@ impl Stage for Contribute<'_> {
             // `standardized` may pass the bound by its drift allowance
             // (at most 1e-10) plus float rounding; the relative slack
             // covers both, so no point that would survive is pruned.
-            let bound = max_standardized(ContributionComputer::n_slots(partition)) * (1.0 + 1e-9);
+            let bound = max_standardized(partition.n_slots()) * (1.0 + 1e-9);
             if sky
                 .lock()
                 .expect("skyline lock")
@@ -598,6 +598,7 @@ impl Stage for Contribute<'_> {
                     ctx.kind,
                     scored.coded.clone(),
                     scored.kernels.clone(),
+                    ctx.fan_out.clone(),
                 )
                 .with_intra_mode(intra_partition_mode(ctx.mode(), units.len()));
                 try_par_map(ctx.mode(), &units, |unit| {
@@ -611,7 +612,7 @@ impl Stage for Contribute<'_> {
                     let Some(base) = measure.score(ctx.step, column)? else {
                         return Ok(None);
                     };
-                    (0..ContributionComputer::n_slots(p))
+                    (0..p.n_slots())
                         .map(|slot| {
                             let rows = p.rows_by_set().rows_of_slot(slot);
                             let reduced = ctx.step.rerun_without(p.input_idx, rows)?;
@@ -742,8 +743,9 @@ impl Stage for Present {
         } = input;
         // Dedup of equivalent explanations: the same set label can arise
         // from several partitions (e.g. set counts 5 and 10). Selection is
-        // split from rendering so per-step work (the attribution walk
-        // below) runs once, not once per rendered explanation.
+        // split from rendering so the per-set chart values are built once
+        // per partition or (partition, column), not once per rendered
+        // explanation.
         let mut seen: Vec<(String, String, String)> = Vec::new();
         let mut selected: Vec<usize> = Vec::new();
         for idx in order {
@@ -767,21 +769,35 @@ impl Stage for Present {
             }
         }
 
-        let attributed = attribution_counts_for(
-            ctx,
-            &partitions,
-            selected.iter().map(|&idx| candidates[idx].partition),
-        );
+        let mut attributed: HashMap<usize, Vec<u64>> = HashMap::new();
+        let mut means: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
         let mut out = Vec::with_capacity(selected.len());
         for idx in selected {
             let cand = &candidates[idx];
+            let partition = &partitions[cand.partition];
+            let (column, interestingness) = &scored.top[cand.column];
+            let values = match ctx.kind {
+                InterestingnessKind::Exceptionality => SetValues::Attributed(
+                    attributed
+                        .entry(cand.partition)
+                        .or_insert_with(|| attribution_counts(ctx, partition)),
+                ),
+                InterestingnessKind::Diversity => {
+                    SetValues::Means(match means.entry((cand.partition, cand.column)) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            e.insert(diversity_set_means(ctx.step, partition, column)?)
+                        }
+                    })
+                }
+            };
             out.push(render_explanation(
                 ctx,
-                &partitions[cand.partition],
-                attributed.get(&cand.partition).map(Vec::as_slice),
+                partition,
+                values,
                 cand.slot,
-                &scored.top[cand.column].0,
-                scored.top[cand.column].1,
+                column,
+                *interestingness,
                 cand.raw,
                 cand.std,
             )?);
@@ -790,58 +806,39 @@ impl Stage for Present {
     }
 }
 
-/// Per-set output attribution counts of every distinct partition that will
-/// be rendered, from **one shared provenance walk per input**: how many
-/// output rows trace back to each slot. Empty for diversity runs, which
-/// never consult attribution. Previously each rendered explanation
-/// re-walked the full provenance (~0.4s of the 1M-row Present stage).
-fn attribution_counts_for(
-    ctx: &PipelineContext<'_>,
-    partitions: &[RowPartition],
-    rendered: impl Iterator<Item = usize>,
-) -> std::collections::HashMap<usize, Vec<u64>> {
-    let mut counts: std::collections::HashMap<usize, Vec<u64>> = std::collections::HashMap::new();
-    if ctx.kind != InterestingnessKind::Exceptionality {
-        return counts;
-    }
-    // Distinct partitions, grouped by the input their rows live in.
-    let mut by_input: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for pi in rendered {
-        if let std::collections::hash_map::Entry::Vacant(slot) = counts.entry(pi) {
-            let p = &partitions[pi];
-            slot.insert(vec![0u64; ContributionComputer::n_slots(p).max(1)]);
-            by_input.entry(p.input_idx).or_default().push(pi);
-        }
-    }
-    for (input_idx, pis) in by_input {
-        // One walk scatter-updates every partition of this input.
-        let mut slots: Vec<(&RowPartition, Vec<u64>)> = pis
-            .iter()
-            .map(|&pi| (&partitions[pi], counts.remove(&pi).expect("inserted above")))
-            .collect();
-        ctx.step
-            .provenance
-            .for_each_out_row_from(input_idx, |_out_row, in_row| {
-                for (p, c) in slots.iter_mut() {
-                    c[kernel::slot_of(p, p.assignment[in_row])] += 1;
-                }
-            });
-        for (pi, (_, c)) in pis.into_iter().zip(slots) {
-            counts.insert(pi, c);
-        }
-    }
-    counts
+/// The per-set values a chart is drawn from, which do not depend on the
+/// chosen set: attribution counts (exceptionality) or set means
+/// (diversity).
+enum SetValues<'v> {
+    Attributed(&'v [u64]),
+    Means(&'v [f64]),
 }
 
-/// Render one candidate as a captioned chart. `attributed` carries the
-/// partition's precomputed per-slot attribution counts (always present on
-/// exceptionality runs).
+/// Per-set output attribution counts of one partition: how many output
+/// rows each set's input rows source — per-set sums of the explain's
+/// fan-out (shared with Contribute), or the set sizes for a union, whose
+/// every input row sources exactly one output row.
+fn attribution_counts(ctx: &PipelineContext<'_>, partition: &RowPartition) -> Vec<u64> {
+    if matches!(ctx.step.op, Operation::Union) {
+        return partition.sets.iter().map(|s| s.size as u64).collect();
+    }
+    let sourced = ctx.fan_out.of(ctx.step, partition.input_idx);
+    let index = partition.rows_by_set();
+    (0..partition.n_sets())
+        .map(|s| {
+            let rows = index.rows_of_slot(s).iter();
+            rows.map(|&r| sourced.fan_out(r as usize) as u64).sum()
+        })
+        .collect()
+}
+
+/// Render one candidate as a captioned chart drawn from the partition's
+/// per-set `values`.
 #[allow(clippy::too_many_arguments)]
 fn render_explanation(
     ctx: &PipelineContext<'_>,
     partition: &RowPartition,
-    attributed: Option<&[u64]>,
+    values: SetValues<'_>,
     slot: usize,
     column: &str,
     interestingness: f64,
@@ -849,12 +846,9 @@ fn render_explanation(
     std: f64,
 ) -> Result<Explanation> {
     let step = ctx.step;
-    let kind = ctx.kind;
     let set_label = partition.sets[slot].label.clone();
-    let (caption, chart) = match kind {
-        InterestingnessKind::Exceptionality => {
-            let attributed =
-                attributed.expect("exceptionality explanations carry attribution counts");
+    let (caption, chart) = match values {
+        SetValues::Attributed(attributed) => {
             let (bars, before, after) = exceptionality_chart(step, partition, attributed, slot)?;
             (
                 exceptionality_caption(column, &set_label, before, after),
@@ -867,8 +861,8 @@ fn render_explanation(
                 },
             )
         }
-        InterestingnessKind::Diversity => {
-            let (bars, z, mean) = diversity_chart(step, partition, slot, column)?;
+        SetValues::Means(means) => {
+            let (bars, z, mean) = diversity_chart(step, partition, means, slot, column)?;
             (
                 diversity_caption(column, partition.defining_column(), &set_label, z, mean),
                 Chart {
@@ -883,13 +877,13 @@ fn render_explanation(
     };
     Ok(Explanation {
         column: column.to_string(),
-        measure: kind,
+        measure: ctx.kind,
         interestingness,
         set_label,
         partition_attr: partition.attr.clone(),
         partition_kind: partition.kind.clone(),
         input_idx: partition.input_idx,
-        set_rows: partition.rows_by_set().rows_of(slot as u32).to_vec(),
+        set_size: partition.sets[slot].size,
         contribution: raw,
         std_contribution: std,
         score: weighted_score(
@@ -932,42 +926,61 @@ fn exceptionality_chart(
     Ok((bars, chosen.0, chosen.1))
 }
 
-/// Build the per-set aggregated-value bars for a diversity explanation;
-/// returns `(bars, z-score of the chosen set, overall mean)`.
-fn diversity_chart(
+/// Each set's aggregated value for a diversity chart of `column`: every
+/// output group's value weighted by the share of its rows in the set. For
+/// partitions coarser than the grouping (e.g. many-to-one year → decade)
+/// this is exactly the per-set mean of its groups. Sets without grouped
+/// rows read 0.
+fn diversity_set_means(
     step: &ExploratoryStep,
     partition: &RowPartition,
-    slot: usize,
     column: &str,
-) -> Result<(Vec<Bar>, f64, f64)> {
+) -> Result<Vec<f64>> {
     let out_col = step.output.column(column)?;
-    let values = out_col.numeric_values();
-    let (mean_all, std_all) = mean_and_std(&values);
-
-    // Weight each output group's value by the share of its rows in each
-    // set; for partitions coarser than the grouping (e.g. many-to-one
-    // year → decade) this is exactly the per-set mean of its groups.
-    let n_slots = ContributionComputer::n_slots(partition);
+    let n_slots = partition.n_slots();
     let mut wsum = vec![0.0f64; n_slots];
     let mut wcnt = vec![0.0f64; n_slots];
     if let Provenance::GroupBy { group_of_row, .. } = &step.provenance {
-        for (row, g) in group_of_row.iter().enumerate() {
-            let Some(g) = g else { continue };
-            if let Some(v) = out_col.f64_at(*g as usize) {
-                let s = kernel::slot_of(partition, partition.assignment[row]);
-                wsum[s] += v;
-                wcnt[s] += 1.0;
+        let index = partition.rows_by_set();
+        for s in 0..n_slots {
+            for &row in index.rows_of_slot(s) {
+                let Some(g) = group_of_row[row as usize] else {
+                    continue;
+                };
+                if let Some(v) = out_col.f64_at(g as usize) {
+                    wsum[s] += v;
+                    wcnt[s] += 1.0;
+                }
             }
         }
     }
+    Ok((0..partition.n_sets())
+        .map(|s| {
+            if wcnt[s] > 0.0 {
+                wsum[s] / wcnt[s]
+            } else {
+                0.0
+            }
+        })
+        .collect())
+}
+
+/// Build the per-set aggregated-value bars for a diversity explanation
+/// from the partition's per-set `means`; returns `(bars, z-score of the
+/// chosen set, overall mean)`.
+fn diversity_chart(
+    step: &ExploratoryStep,
+    partition: &RowPartition,
+    means: &[f64],
+    slot: usize,
+    column: &str,
+) -> Result<(Vec<Bar>, f64, f64)> {
+    let values = step.output.column(column)?.numeric_values();
+    let (mean_all, std_all) = mean_and_std(&values);
     let mut bars = Vec::with_capacity(partition.n_sets());
     let mut chosen_value = mean_all;
     for (s, meta) in partition.sets.iter().enumerate() {
-        let v = if wcnt[s] > 0.0 {
-            wsum[s] / wcnt[s]
-        } else {
-            0.0
-        };
+        let v = means[s];
         if s == slot {
             chosen_value = v;
         }

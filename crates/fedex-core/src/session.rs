@@ -38,13 +38,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::time::{Duration, Instant};
 
 use fedex_frame::{DataFrame, Fingerprint};
 use fedex_query::{parse_query, Catalog, ExploratoryStep};
 
 use crate::cache::{results_key, ArtifactCache};
+use crate::cancel::CancelToken;
 use crate::explain::{Explanation, Fedex, FedexConfig};
 use crate::ExplainError;
 use crate::Result;
@@ -79,6 +80,26 @@ fn read_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Take a write lock, clearing poison (see [`read_recover`]).
 fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How often a run waiting for a busy session looks at its cancel token.
+const LOCK_POLL: Duration = Duration::from_millis(2);
+
+/// [`write_recover`] for a run under `cancel`: it stops waiting once the
+/// token trips, and checks it again once it holds the lock, so a run whose
+/// waiter left neither holds a worker nor executes its step.
+fn write_cancellable<'a, T>(
+    lock: &'a RwLock<T>,
+    cancel: &CancelToken,
+) -> Result<RwLockWriteGuard<'a, T>> {
+    loop {
+        match lock.try_write() {
+            Ok(guard) => return cancel.check().map(|()| guard),
+            Err(TryLockError::Poisoned(p)) => return cancel.check().map(|()| p.into_inner()),
+            Err(TryLockError::WouldBlock) => cancel.check()?,
+        }
+        std::thread::sleep(LOCK_POLL);
+    }
 }
 
 /// One executed-and-explained step, as the history keeps it: no frames
@@ -579,29 +600,39 @@ impl SessionManager {
     /// its explanations. `save_as` additionally registers the step's
     /// output under that catalog name.
     pub fn run(&self, session: &str, sql: &str, save_as: Option<&str>) -> Result<SessionEntry> {
-        self.run_traced_configured(session, sql, save_as, |_| {})
+        self.run_traced_configured(session, sql, save_as, None, |_| {})
             .map(|(entry, _)| entry)
     }
 
-    /// Run one traced step with per-run configuration grafted onto the
-    /// run (see [`Session::run_traced_configured`]) — how the serving
-    /// layer attaches deadlines and downgrades pressured runs to
-    /// FEDEX-Sampling. An unknown session fails as an empty one would,
-    /// and is not created.
+    /// Run one traced step under `cancel`, with per-run configuration
+    /// grafted onto the run (see [`Session::run_traced_configured`]) — how
+    /// the serving layer attaches deadlines and downgrades pressured runs
+    /// to FEDEX-Sampling. The token also ends a wait for the session,
+    /// which another run may hold. An unknown session fails as an empty
+    /// one would, and is not created.
     pub fn run_traced_configured(
         &self,
         session: &str,
         sql: &str,
         save_as: Option<&str>,
+        cancel: Option<CancelToken>,
         configure: impl FnOnce(&mut FedexConfig),
     ) -> Result<(SessionEntry, Vec<StageReport>)> {
+        let token = cancel.clone();
+        let configure = |config: &mut FedexConfig| {
+            config.cancel = token;
+            configure(config);
+        };
         let Some(slot) = self.session(session) else {
             // An unknown session has an empty catalog: the step fails as
             // it would in a new session, and none is created.
             return Session::new(self.template.clone()).run_traced_configured(sql, None, configure);
         };
         let out = {
-            let mut s = write_recover(&slot.session);
+            let mut s = match &cancel {
+                Some(cancel) => write_cancellable(&slot.session, cancel)?,
+                None => write_recover(&slot.session),
+            };
             let out = s.run_traced_configured(sql, save_as.map(str::to_string), configure)?;
             self.settle(&slot, &s);
             out

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use fedex_core::{
     build_partitions_for_attr, frequency_partition, numeric_partition, CodedHist,
-    ContributionComputer, InterestingnessKind, RowPartition, ValueHist, IGNORE,
+    ContributionComputer, InterestingnessKind, PartitionKind, RowPartition, ValueHist, IGNORE,
 };
 use fedex_frame::{CodedColumn, Column, DataFrame, Value};
 use fedex_query::{ExploratoryStep, Expr, Operation};
@@ -206,19 +206,21 @@ fn reference_frequency_partition(
             }
         }
     }
-    let mut out = frequency_partition(df, input_idx, attr, n)
-        .unwrap()
-        .unwrap();
-    out.sets = top
+    let sets = top
         .into_iter()
         .map(|(v, c)| fedex_core::SetMeta {
             label: v.to_string(),
             size: c as usize,
         })
         .collect();
-    out.assignment = assignment.into();
-    out.ignore_size = ignore_size;
-    Some(out)
+    Some(RowPartition::new(
+        input_idx,
+        attr,
+        PartitionKind::Frequency,
+        sets,
+        assignment,
+        ignore_size,
+    ))
 }
 
 /// The pre-codec numeric partition, verbatim.
@@ -256,11 +258,14 @@ fn reference_numeric_partition(
         });
     }
     let ignore_size = assignment.iter().filter(|&&a| a == IGNORE).count();
-    let mut out = numeric_partition(df, input_idx, attr, n).unwrap().unwrap();
-    out.sets = sets;
-    out.assignment = assignment.into();
-    out.ignore_size = ignore_size;
-    Some(out)
+    Some(RowPartition::new(
+        input_idx,
+        attr,
+        PartitionKind::NumericBins,
+        sets,
+        assignment,
+        ignore_size,
+    ))
 }
 
 /// The pre-codec §3.5 Conditions 1–2 check, verbatim.
@@ -291,7 +296,7 @@ fn reference_holds_many_to_one(a: &Column, b: &Column) -> bool {
 }
 
 fn assert_partitions_equal(got: &RowPartition, want: &RowPartition) {
-    assert_eq!(got.assignment, want.assignment, "assignment differs");
+    assert_eq!(got.assignment(), want.assignment(), "assignment differs");
     assert_eq!(got.ignore_size, want.ignore_size);
     assert_eq!(got.n_sets(), want.n_sets());
     for (g, w) in got.sets.iter().zip(&want.sets) {
@@ -377,7 +382,7 @@ fn reference_filter_contributions(
         }
     };
     let mut sub_in: Vec<ValueHist> = vec![ValueHist::new(); n_slots];
-    for (row, &code) in partition.assignment.iter().enumerate() {
+    for (row, &code) in partition.assignment().iter().enumerate() {
         let v = in_col.get(row);
         if !v.is_null() {
             sub_in[slot_of(code)].add(v, 1);
@@ -387,10 +392,11 @@ fn reference_filter_contributions(
         panic!("filter provenance")
     };
     let mut sub_out: Vec<ValueHist> = vec![ValueHist::new(); n_slots];
+    let assignment = partition.assignment();
     for (out_row, &in_row) in kept.iter().enumerate() {
         let v = out_col.get(out_row);
         if !v.is_null() {
-            sub_out[slot_of(partition.assignment[in_row])].add(v, 1);
+            sub_out[slot_of(assignment[in_row])].add(v, 1);
         }
     }
     let mut out = Vec::with_capacity(n_slots);
@@ -429,9 +435,14 @@ fn scatter_contributions_match_per_slot_value_hists() {
                 let mut slots: Vec<u32> = (0..p.n_sets() as u32).collect();
                 slots.push(IGNORE);
                 for s in slots {
-                    let rows = p.rows_by_set().rows_of(s);
-                    let vh = ValueHist::from_column_rows(col, rows);
-                    let ch = CodedHist::from_coded_rows(&coded, rows);
+                    let rows: Vec<usize> = p
+                        .rows_by_set()
+                        .rows_of(s)
+                        .iter()
+                        .map(|&r| r as usize)
+                        .collect();
+                    let vh = ValueHist::from_column_rows(col, &rows);
+                    let ch = CodedHist::from_coded_rows(&coded, &rows);
                     assert_eq!(vh.total(), ch.total());
                     assert_eq!(value_counts(&vh), coded_counts(&ch, &coded));
                 }

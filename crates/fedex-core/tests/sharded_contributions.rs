@@ -1,15 +1,17 @@
-//! Property tests pinning the CSR-sharded scatter contribution kernels to
-//! the serial single-pass scatter: for every provenance kind (filter,
-//! group-by/diversity, join, union), every mined partition, and every
-//! intra-partition thread budget, the per-slot contributions must be
-//! **bit-identical** — on columns with nulls, NaNs, `-0.0`/`+0.0`, and
-//! heavy ties.
+//! Property tests pinning the contribution kernels: for every provenance
+//! kind (filter, group-by/diversity, join, union), every mined partition,
+//! and every intra-partition thread budget, the per-slot contributions
+//! must be **bit-identical** to the serial run — on columns with nulls,
+//! NaNs, `-0.0`/`+0.0`, and heavy ties — and, under exceptionality, to
+//! the literal Def. 3.3 re-run.
 //!
-//! The sharded path splits the per-slot histogram scatter into per-shard
-//! `SlotCodes` groupings merged in deterministic `(slot, shard)` order,
-//! and sweeps the KS loop over slot ranges; only per-slot *counts* feed
-//! `ks_sub_counts`, so the schedule cannot change a single bit. These
-//! tests are the executable form of that argument.
+//! The kernels fill each slot's removed counts from the input side (the
+//! partition's CSR rows, weighted by the step's fan-out or read off the
+//! output rows they source; a union's output counts are its input counts)
+//! and sweep the KS loop over slot ranges. Only per-slot *counts* feed
+//! `ks_sub_counts`, so neither the schedule nor the side the counts come
+//! from can change a single bit. These tests are the executable form of
+//! that argument.
 
 use fedex_core::{
     build_partitions_for_attr, ContributionComputer, ExecutionMode, InterestingnessKind,
@@ -164,5 +166,75 @@ proptest! {
         let fb = frame("g", "x", &b);
         let step = ExploratoryStep::run(vec![fa, fb], Operation::Union).unwrap();
         assert_sharded_matches_serial(&step, InterestingnessKind::Exceptionality);
+    }
+
+    /// Exceptionality contributions equal the literal re-run to the bit,
+    /// on every slot (the ignore-set included) and under every thread
+    /// budget: a join on duplicate, partly null keys (so input rows source
+    /// zero, one or many output rows) partitioned on each input, and a
+    /// union.
+    #[test]
+    fn exceptionality_contributions_match_rerun(
+        left in proptest::collection::vec((0u8..8, -40i32..40), 4..40),
+        right in proptest::collection::vec((0u8..8, -40i32..40), 4..40),
+    ) {
+        let join = ExploratoryStep::run(
+            vec![frame("k", "x", &left), frame("k", "y", &right)],
+            Operation::join("k", "k", "l", "r"),
+        );
+        let union = ExploratoryStep::run(
+            vec![frame("k", "x", &left), frame("k", "x", &right)],
+            Operation::Union,
+        )
+        .unwrap();
+        for step in join.iter().chain([&union]) {
+            assert_contributions_match_rerun(step);
+        }
+    }
+}
+
+/// [`ContributionComputer::contribution_by_rerun`] on every slot of every
+/// mined partition of every input, against the incremental kernels under
+/// `Serial`, `Threads(2)` and `Threads(8)`.
+fn assert_contributions_match_rerun(step: &ExploratoryStep) {
+    let kind = InterestingnessKind::Exceptionality;
+    let reference = ContributionComputer::new(step, kind);
+    let modes = [
+        ExecutionMode::Serial,
+        ExecutionMode::Threads(2),
+        ExecutionMode::Threads(8),
+    ];
+    let computers: Vec<_> = modes
+        .iter()
+        .map(|&m| ContributionComputer::new(step, kind).with_intra_mode(m))
+        .collect();
+    for (input_idx, input) in step.inputs.iter().enumerate() {
+        for field in input.schema().fields() {
+            for p in build_partitions_for_attr(input, input_idx, &field.name, &[2, 3], 11).unwrap()
+            {
+                for column in step.output.column_names() {
+                    for (computer, mode) in computers.iter().zip(modes) {
+                        let Some(fast) = computer.contributions(&p, column).unwrap() else {
+                            continue;
+                        };
+                        for (slot, c) in fast.iter().enumerate() {
+                            let rows = p.rows_by_set().rows_of_slot(slot);
+                            let want = reference
+                                .contribution_by_rerun(input_idx, rows, column)
+                                .unwrap()
+                                .unwrap();
+                            assert_eq!(
+                                c.to_bits(),
+                                want.to_bits(),
+                                "{:?} {mode:?}: input {input_idx}, attr {}, col {column}, \
+                                 slot {slot}: {c} vs rerun {want}",
+                                step.op,
+                                field.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -42,13 +42,14 @@ impl ExploratoryStep {
     /// Re-run the operation with the rows `excluded` removed from input
     /// `input_idx`: the intervention step `(D_in − R, q, q(D_in − R))` of
     /// Def. 3.3. Other inputs are untouched. `excluded` must be ascending
-    /// (a partition's row index is), so the kept rows are one merge-scan.
-    pub fn rerun_without(&self, input_idx: usize, excluded: &[usize]) -> Result<ExploratoryStep> {
+    /// (a partition's `u32` row index is), so the kept rows are one
+    /// merge-scan.
+    pub fn rerun_without(&self, input_idx: usize, excluded: &[u32]) -> Result<ExploratoryStep> {
         debug_assert!(
             excluded.windows(2).all(|w| w[0] < w[1]),
             "excluded rows must ascend"
         );
-        let mut removed = excluded.iter().copied().peekable();
+        let mut removed = excluded.iter().map(|&r| r as usize).peekable();
         let keep: Vec<usize> = (0..self.inputs[input_idx].n_rows())
             .filter(|&row| removed.next_if_eq(&row).is_none())
             .collect();

@@ -680,7 +680,7 @@ impl ExplainService {
             .or_else(|| self.obs.as_ref().map(|o| o.mint_trace().id));
         let run = self
             .manager
-            .run_traced_configured(session, sql, save_as, |config| {
+            .run_traced_configured(session, sql, save_as, cancel, |config| {
                 // Fault hooks fire here, inside the session write lock, so an
                 // injected panic exercises the same poisoned-lock recovery a
                 // real pipeline bug would.
@@ -694,7 +694,6 @@ impl ExplainService {
                     config.sample_size = Some(DEGRADE_SAMPLE_SIZE);
                 }
                 config.trace_id = trace_id;
-                config.cancel = cancel;
             });
         let (entry, trace) = match run {
             Ok(run) => run,

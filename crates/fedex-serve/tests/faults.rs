@@ -2,7 +2,8 @@
 //! answer typed and the session recovers, expired deadlines answer fast
 //! and typed, each request keeps its own deadline beside an identical
 //! concurrent one, a disconnected client's job is cancelled and frees its
-//! slots, and degraded explains are deterministic.
+//! slots, a job whose waiter left stops waiting for its busy session, and
+//! degraded explains are deterministic.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -281,6 +282,50 @@ fn a_short_deadline_expires_on_time_beside_an_identical_long_run() {
     assert!(
         short_elapsed * 2 < long_elapsed,
         "the 300 ms request took {short_elapsed:?}, the full run {long_elapsed:?}"
+    );
+    assert_drains(&addr);
+    handle.stop().unwrap();
+}
+
+/// Send one explain of `sql` in `session`, with `extra` fields spliced
+/// into the request; returns the reply and its round-trip time.
+fn timed_explain_in(addr: &str, session: &str, sql: &str, extra: &str) -> (Json, Duration) {
+    let mut c = Client::connect(addr).unwrap();
+    let t0 = Instant::now();
+    let r = c
+        .request(&req(&format!(
+            r#"{{"cmd":"explain","session":"{session}","sql":"{sql}"{extra}}}"#
+        )))
+        .unwrap();
+    (r, t0.elapsed())
+}
+
+#[test]
+fn a_job_whose_waiter_left_frees_its_worker_while_the_session_is_busy() {
+    let handle = boot(DegradeMode::Off);
+    let addr = handle.addr().to_string();
+    register(&addr, "s", RACE_ROWS);
+    register(&addr, "b", 2_000);
+
+    let long = {
+        let addr = addr.clone();
+        std::thread::spawn(move || timed_explain_in(&addr, "s", SQL, ""))
+    };
+    await_running(&addr);
+    // A second explain of the busy session takes the other worker and
+    // waits for the session; its waiter leaves at the 300 ms deadline.
+    let other = "SELECT * FROM spotify WHERE popularity > 40";
+    let (r, _) = timed_explain_in(&addr, "s", other, r#","deadline_ms":300"#);
+    assert_eq!(code_of(&r), Some("deadline_exceeded"), "{r:?}");
+    // That job must let go of its worker, so a small explain in another
+    // session answers while the long run still goes on.
+    let (r, small_elapsed) = timed_explain_in(&addr, "b", SQL, "");
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+    let (long, long_elapsed) = long.join().unwrap();
+    assert_eq!(long.get("ok"), Some(&Json::Bool(true)), "{long:?}");
+    assert!(
+        small_elapsed * 2 < long_elapsed,
+        "the small explain took {small_elapsed:?}, the long run {long_elapsed:?}"
     );
     assert_drains(&addr);
     handle.stop().unwrap();

@@ -55,7 +55,7 @@ fn render(tag: &str, explanations: &[Explanation]) -> String {
         writeln!(out, "   measure={}", e.measure.name()).unwrap();
         writeln!(out, "   set={} attr={}", e.set_label, e.partition_attr).unwrap();
         writeln!(out, "   kind={}", e.partition_kind.name()).unwrap();
-        writeln!(out, "   input={} rows={}", e.input_idx, e.set_rows.len()).unwrap();
+        writeln!(out, "   input={} rows={}", e.input_idx, e.set_size).unwrap();
         writeln!(
             out,
             "   interestingness=0x{:016x}",

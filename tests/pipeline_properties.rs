@@ -159,7 +159,14 @@ proptest! {
             let parts = build_partitions_for_attr(&df, 0, attr, &[n], 7).unwrap();
             for p in parts {
                 p.validate().unwrap();
-                prop_assert_eq!(p.assignment.len(), df.n_rows());
+                prop_assert_eq!(p.assignment().len(), df.n_rows());
+                // The CSR index holds each set's rows, all in bounds.
+                let index = p.rows_by_set();
+                for (s, meta) in p.sets.iter().enumerate() {
+                    let rows = index.rows_of(s as u32);
+                    prop_assert_eq!(rows.len(), meta.size);
+                    prop_assert!(rows.iter().all(|&r| (r as usize) < df.n_rows()));
+                }
                 let covered: usize =
                     p.sets.iter().map(|s| s.size).sum::<usize>() + p.ignore_size;
                 prop_assert_eq!(covered, df.n_rows());
@@ -228,11 +235,11 @@ proptest! {
             if let Some(fast) = cc.contributions(&p, "mean_v").unwrap() {
                 for (slot, &c_fast) in fast.iter().enumerate() {
                     let code = if slot == p.n_sets() { IGNORE } else { slot as u32 };
-                    let rows: Vec<usize> = p
-                        .assignment
+                    let rows: Vec<u32> = p
+                        .assignment()
                         .iter()
                         .enumerate()
-                        .filter_map(|(i, &a)| (a == code).then_some(i))
+                        .filter_map(|(i, &a)| (a == code).then_some(i as u32))
                         .collect();
                     let slow =
                         cc.contribution_by_rerun(0, &rows, "mean_v").unwrap().unwrap();
@@ -270,8 +277,7 @@ proptest! {
         for e in &ex {
             prop_assert!(e.contribution > 0.0);
             prop_assert!(!e.caption.is_empty());
-            prop_assert!(!e.set_rows.is_empty());
-            prop_assert!(e.set_rows.iter().all(|&r| r < step.inputs[0].n_rows()));
+            prop_assert!(e.set_size > 0);
         }
         for a in &ex {
             for b in &ex {
