@@ -20,11 +20,8 @@ use fedex_serve::{json, Client, Json};
 /// variant, so per-variant counts sum to attempts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
-    /// `ok:true` response; `degraded` mirrors the response flag.
-    Ok {
-        /// The response was served on the degraded sampling path.
-        degraded: bool,
-    },
+    /// `ok:true` response.
+    Ok,
     /// `ok:false` with a machine-readable `code` (and, for
     /// `internal_error`, the incident id when present).
     Typed {
@@ -50,9 +47,7 @@ pub fn classify(outcome: std::io::Result<String>) -> (Outcome, Option<Json>) {
             Err(_) => (Outcome::Torn, None),
             Ok(resp) => {
                 let out = if resp.get("ok") == Some(&Json::Bool(true)) {
-                    Outcome::Ok {
-                        degraded: resp.get("degraded") == Some(&Json::Bool(true)),
-                    }
+                    Outcome::Ok
                 } else {
                     match resp.get("code").and_then(Json::as_str) {
                         Some(code) => Outcome::Typed {
@@ -78,8 +73,6 @@ pub struct Tally {
     pub attempts: AtomicU64,
     /// `ok:true` responses.
     pub ok: AtomicU64,
-    /// `ok:true` responses served degraded.
-    pub ok_degraded: AtomicU64,
     /// Failures with no `code` field.
     pub untyped_errors: AtomicU64,
     /// Unparseable response lines.
@@ -98,11 +91,8 @@ impl Tally {
     pub fn record(&self, outcome: &Outcome) {
         self.attempts.fetch_add(1, Ordering::Relaxed);
         match outcome {
-            Outcome::Ok { degraded } => {
+            Outcome::Ok => {
                 self.ok.fetch_add(1, Ordering::Relaxed);
-                if *degraded {
-                    self.ok_degraded.fetch_add(1, Ordering::Relaxed);
-                }
             }
             Outcome::Typed { code, incident } => {
                 if let Some(inc) = incident {
@@ -166,14 +156,7 @@ mod tests {
     fn every_outcome_lands_in_exactly_one_bucket() {
         let t = Tally::default();
         for (raw, want) in [
-            (
-                Ok(r#"{"ok":true}"#.to_string()),
-                Outcome::Ok { degraded: false },
-            ),
-            (
-                Ok(r#"{"ok":true,"degraded":true}"#.to_string()),
-                Outcome::Ok { degraded: true },
-            ),
+            (Ok(r#"{"ok":true}"#.to_string()), Outcome::Ok),
             (
                 Ok(r#"{"ok":false,"code":"overloaded","error":"x"}"#.to_string()),
                 Outcome::Typed {
@@ -210,9 +193,8 @@ mod tests {
             + t.untyped_errors.load(Ordering::Relaxed)
             + t.torn_lines.load(Ordering::Relaxed)
             + t.io_errors.load(Ordering::Relaxed);
-        assert_eq!(attempts, 7);
+        assert_eq!(attempts, 6);
         assert_eq!(accounted, attempts, "buckets must sum to attempts");
-        assert_eq!(t.ok_degraded.load(Ordering::Relaxed), 1);
         assert_eq!(t.incidents.lock().unwrap().as_slice(), ["inc-7"]);
     }
 

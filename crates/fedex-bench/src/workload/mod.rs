@@ -19,10 +19,9 @@
 //!    one thread per simulated client (in-process or `--addr`), score
 //!    the run from the wire responses and the Prometheus surface, and
 //!    evaluate the machine-checkable **frontier gate**: zero untyped
-//!    failures, every degraded explain carries its DKW error bound,
-//!    per-command counts conserve, all configured provenance kinds got
-//!    an answer, and a same-seed re-run is response-identical for
-//!    non-degraded explains.
+//!    failures, per-command counts conserve, all configured provenance
+//!    kinds got an answer, and a same-seed re-run is response-identical
+//!    for every explain.
 //!
 //! Everything downstream of the seed is deterministic: the spec owns a
 //! [`SplitMix64`] stream, think times are sampled at compile time into

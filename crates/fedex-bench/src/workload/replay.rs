@@ -5,14 +5,14 @@
 //! come out of the trace, the retry jitter seed derives from the trace
 //! seed, and each client's ops run strictly in trace order. Against an
 //! in-process server (the default) a re-run of the same trace is
-//! therefore response-identical for every non-degraded explain — the
-//! property the differential gate asserts.
+//! therefore response-identical for every explain — the property the
+//! differential gate asserts.
 //!
 //! Scoring uses both surfaces: the wire responses themselves (outcome
-//! classification via [`crate::driver`], client-observed latency, DKW
-//! error bounds on degraded explains) and, after traffic drains, the
-//! server's own `metrics` command plus the Prometheus text exposition
-//! (validated with `fedex-obs`' strict parser).
+//! classification via [`crate::driver`], client-observed latency) and,
+//! after traffic drains, the server's own `metrics` command plus the
+//! Prometheus text exposition (validated with `fedex-obs`' strict
+//! parser).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -20,9 +20,7 @@ use std::time::{Duration, Instant};
 
 use fedex_core::{ArtifactCache, ExecutionMode, Fedex, SessionManager};
 use fedex_serve::json::{self, Json};
-use fedex_serve::{
-    Client, DegradeMode, ExplainService, RetryPolicy, Server, ServerConfig, ServerHandle,
-};
+use fedex_serve::{Client, ExplainService, RetryPolicy, Server, ServerConfig, ServerHandle};
 
 use crate::driver::{classify, Outcome, Tally};
 
@@ -60,17 +58,8 @@ pub struct OpResult {
     pub kind: String,
     /// `ok:true` response.
     pub ok: bool,
-    /// Served on the degraded sampling path.
-    pub degraded: bool,
     /// Typed error code, when the response failed.
     pub code: Option<String>,
-    /// DKW error bound of a degraded response.
-    pub error_bound: Option<f64>,
-    /// Sample size of a degraded response.
-    pub sample_size: Option<u64>,
-    /// Degraded response missing its bound or sample size — a frontier
-    /// gate violation.
-    pub missing_bound: bool,
     /// Canonical deterministic payload (`ok` responses only): the
     /// response minus timing fields, serialized — what the
     /// differential gate compares.
@@ -86,8 +75,6 @@ pub struct ReplayRun {
     pub results: Vec<OpResult>,
     /// `ok:true` responses (explains only).
     pub ok: u64,
-    /// Degraded successes.
-    pub ok_degraded: u64,
     /// Failures without a `code` — must be zero.
     pub untyped_errors: u64,
     /// Transport errors after retries.
@@ -107,16 +94,7 @@ pub struct ReplayRun {
 /// means equal strings.
 fn canonical_payload(resp: &Json) -> String {
     let mut fields = Vec::new();
-    for key in [
-        "sql",
-        "n_rows_in",
-        "n_rows_out",
-        "explanations",
-        "rendered",
-        "degraded",
-        "sample_size",
-        "error_bound",
-    ] {
+    for key in ["sql", "n_rows_in", "n_rows_out", "explanations", "rendered"] {
         if let Some(v) = resp.get(key) {
             fields.push((key.to_string(), v.clone()));
         }
@@ -149,7 +127,6 @@ impl OwnedServer {
                 session_quota: 1024,
                 max_connections: 256,
                 default_deadline_ms: 60_000,
-                degrade: DegradeMode::Auto,
                 write_timeout_ms: 5_000,
             },
             service,
@@ -243,36 +220,20 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> Result<ReplayRun, String> {
                     let latency_us = t0.elapsed().as_micros() as u64;
                     let (outcome, resp) = classify(raw);
                     tally.record(&outcome);
-                    let (ok, degraded) = match outcome {
-                        Outcome::Ok { degraded } => (true, degraded),
-                        _ => (false, false),
-                    };
+                    let ok = outcome == Outcome::Ok;
                     let code = match &outcome {
                         Outcome::Typed { code, .. } => Some(code.clone()),
                         Outcome::Untyped => Some("<untyped>".to_string()),
                         Outcome::Torn => Some("<torn>".to_string()),
                         Outcome::Io => Some("<io>".to_string()),
-                        Outcome::Ok { .. } => None,
+                        Outcome::Ok => None,
                     };
-                    let error_bound = resp
-                        .as_ref()
-                        .and_then(|r| r.get("error_bound"))
-                        .and_then(Json::as_f64);
-                    let sample_size = resp
-                        .as_ref()
-                        .and_then(|r| r.get("sample_size"))
-                        .and_then(Json::as_usize)
-                        .map(|n| n as u64);
                     results.lock().unwrap().push(OpResult {
                         id: *id,
                         client: *client,
                         kind: kind.clone(),
                         ok,
-                        degraded,
                         code,
-                        error_bound,
-                        sample_size,
-                        missing_bound: degraded && (error_bound.is_none() || sample_size.is_none()),
                         payload: ok.then(|| resp.as_ref().map(canonical_payload)).flatten(),
                         latency_us,
                     });
@@ -312,7 +273,6 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> Result<ReplayRun, String> {
     Ok(ReplayRun {
         results,
         ok: tally.ok.load(Ordering::Relaxed),
-        ok_degraded: tally.ok_degraded.load(Ordering::Relaxed),
         untyped_errors: tally.untyped_errors.load(Ordering::Relaxed),
         io_errors: tally.io_errors.load(Ordering::Relaxed),
         torn_lines: tally.torn_lines.load(Ordering::Relaxed),

@@ -5,20 +5,19 @@
 //!
 //! - [`frontier_violations`] — single-run quality/latency invariants:
 //!   zero untyped failures, zero transport losses against a healthy
-//!   server, every degraded explain carries its DKW `error_bound` and
-//!   `sample_size`, the Prometheus exposition validates and conserves
+//!   server, the Prometheus exposition validates and conserves
 //!   (per-command histogram counts sum exactly to
 //!   `fedex_requests_total`), and every provenance kind the trace was
 //!   configured to cover produced at least one successful explain.
 //! - [`differential_violations`] — two runs of the same trace must be
-//!   response-identical wherever both answered non-degraded: same
+//!   response-identical wherever both answered: same
 //!   canonical payload (explanations, rendered text, row counts) at
 //!   every shared op id.
 //!
 //! [`report_json`] assembles the `BENCH_pr10.json`-style artifact:
 //! client-observed p50/p99 per provenance kind, server-side per-command
-//! percentiles from the Prometheus histogram buckets, degraded
-//! fraction, error-bound envelope, and typed-error census.
+//! percentiles from the Prometheus histogram buckets, and typed-error
+//! census.
 
 use fedex_obs::{validate_exposition, Exposition, WIRE_COMMANDS};
 use fedex_serve::json::{self, Json};
@@ -103,19 +102,6 @@ pub fn frontier_violations(run: &ReplayRun, trace: &Trace) -> Vec<String> {
             run.io_errors, run.torn_lines
         ));
     }
-    let missing: Vec<u64> = run
-        .results
-        .iter()
-        .filter(|r| r.missing_bound)
-        .map(|r| r.id)
-        .collect();
-    if !missing.is_empty() {
-        violations.push(format!(
-            "{} degraded explains missing error_bound/sample_size (ops {:?})",
-            missing.len(),
-            &missing[..missing.len().min(5)]
-        ));
-    }
 
     // Every configured provenance kind must have produced at least one
     // successful explain — a kind that always fails is a coverage hole,
@@ -159,8 +145,8 @@ pub fn frontier_violations(run: &ReplayRun, trace: &Trace) -> Vec<String> {
     violations
 }
 
-/// The determinism gate: wherever `a` and `b` both answered an op
-/// non-degraded, the canonical payloads must be identical. Empty = pass.
+/// The determinism gate: wherever `a` and `b` both answered an op, the
+/// canonical payloads must be identical. Empty = pass.
 pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
     let mut violations = Vec::new();
     let bs: std::collections::HashMap<u64, &super::replay::OpResult> =
@@ -171,8 +157,7 @@ pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
             violations.push(format!("op {} present in run A only", ra.id));
             continue;
         };
-        let comparable = ra.ok && !ra.degraded && rb.ok && !rb.degraded;
-        if !comparable {
+        if !(ra.ok && rb.ok) {
             continue;
         }
         compared += 1;
@@ -184,7 +169,7 @@ pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
         }
     }
     if compared == 0 {
-        violations.push("no op was answered non-degraded by both runs — nothing compared".into());
+        violations.push("no op was answered by both runs — nothing compared".into());
     }
     violations
 }
@@ -192,16 +177,6 @@ pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
 /// The `BENCH_pr10.json`-style report object.
 pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Json {
     let explains = run.results.len() as f64;
-    let degraded_fraction = if explains > 0.0 {
-        run.ok_degraded as f64 / explains
-    } else {
-        0.0
-    };
-    let max_error_bound = run
-        .results
-        .iter()
-        .filter_map(|r| r.error_bound)
-        .fold(0.0f64, f64::max);
 
     // Client-observed latency per provenance kind.
     let per_kind = configured_kinds(trace)
@@ -262,12 +237,6 @@ pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Jso
         ("ops".to_string(), json::n(trace.ops.len() as f64)),
         ("explains".to_string(), json::n(explains)),
         ("ok".to_string(), json::n(run.ok as f64)),
-        ("ok_degraded".to_string(), json::n(run.ok_degraded as f64)),
-        (
-            "degraded_fraction".to_string(),
-            Json::Num((degraded_fraction * 1e6).round() / 1e6),
-        ),
-        ("max_error_bound".to_string(), Json::Num(max_error_bound)),
         (
             "untyped_errors".to_string(),
             json::n(run.untyped_errors as f64),

@@ -56,25 +56,11 @@ pub enum Command {
     Demo,
     /// Run the explanation server (blocks until a shutdown request).
     Serve {
-        /// Bind address, e.g. `127.0.0.1:4641`.
-        addr: String,
-        /// General scheduler workers (one dedicated control worker is
-        /// always added on top).
-        workers: usize,
+        /// Address, workers, queue depth, session quota, default deadline
+        /// and write timeout; unset flags keep `ServerConfig::default()`.
+        config: fedex_serve::ServerConfig,
         /// Artifact-cache byte budget in MiB.
         cache_mb: usize,
-        /// Bound of the explain/register queue (`overloaded` beyond it).
-        queue_depth: usize,
-        /// Max heavy requests per session queued + running
-        /// (`quota_exceeded` beyond it).
-        session_quota: usize,
-        /// Deadline budget for requests without their own `deadline_ms`
-        /// (0 = no default deadline).
-        default_deadline_ms: u64,
-        /// When explains may degrade to the sampling path.
-        degrade: fedex_serve::DegradeMode,
-        /// Timeout on every response write.
-        write_timeout_ms: u64,
         /// Pipeline execution mode inside each explain.
         exec: ExecutionMode,
         /// Log explains slower than this many ms to stderr (0 = off).
@@ -109,8 +95,7 @@ usage:
   fedex demo
   fedex serve   [--addr 127.0.0.1:4641] [--workers N] [--cache-mb N]
                 [--queue-depth N] [--session-quota N]
-                [--default-deadline-ms N]
-                [--degrade off|auto|force] [--write-timeout-ms N]
+                [--default-deadline-ms N] [--write-timeout-ms N]
                 [--exec serial|parallel|N] [--slow-ms N] [--no-obs]
   fedex client  --addr <host:port> --json '<request>'
                 [--retries N] [--retry-budget-ms N]
@@ -146,6 +131,16 @@ fn flag_value(args: &[String], i: usize, flag: &str) -> Result<String, CliError>
         .ok_or_else(|| CliError(format!("{flag} needs a value")))
 }
 
+/// The value of `flag` (`args[i]`), parsed as a `T`.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, i, flag)?
+        .parse()
+        .map_err(|e| CliError(format!("{flag}: {e}")))
+}
+
 fn parse_table_spec(spec: &str) -> Result<(String, String), CliError> {
     match spec.split_once('=') {
         Some((name, path)) if !name.is_empty() && !path.is_empty() => {
@@ -166,15 +161,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "demo" => Ok(Command::Demo),
         "serve" => {
-            let mut addr = "127.0.0.1:4641".to_string();
-            let mut workers = 4usize;
+            let mut config = fedex_serve::ServerConfig::default();
             let mut cache_mb = 1024usize;
-            let mut queue_depth = 64usize;
-            let mut session_quota = 2usize;
-            let server_defaults = fedex_serve::ServerConfig::default();
-            let mut default_deadline_ms = server_defaults.default_deadline_ms;
-            let mut degrade = server_defaults.degrade;
-            let mut write_timeout_ms = server_defaults.write_timeout_ms;
             let mut exec = ExecutionMode::default();
             let mut slow_ms = 0u64;
             let mut no_obs = false;
@@ -183,49 +171,31 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 match args[i].as_str() {
                     "--addr" => {
                         i += 1;
-                        addr = flag_value(args, i, "--addr")?;
+                        config.addr = flag_value(args, i, "--addr")?;
                     }
                     "--workers" => {
                         i += 1;
-                        workers = flag_value(args, i, "--workers")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--workers: {e}")))?;
+                        config.workers = parsed_flag(args, i, "--workers")?;
                     }
                     "--cache-mb" => {
                         i += 1;
-                        cache_mb = flag_value(args, i, "--cache-mb")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--cache-mb: {e}")))?;
+                        cache_mb = parsed_flag(args, i, "--cache-mb")?;
                     }
                     "--queue-depth" => {
                         i += 1;
-                        queue_depth = flag_value(args, i, "--queue-depth")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--queue-depth: {e}")))?;
+                        config.queue_depth = parsed_flag(args, i, "--queue-depth")?;
                     }
                     "--session-quota" => {
                         i += 1;
-                        session_quota = flag_value(args, i, "--session-quota")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--session-quota: {e}")))?;
+                        config.session_quota = parsed_flag(args, i, "--session-quota")?;
                     }
                     "--default-deadline-ms" => {
                         i += 1;
-                        default_deadline_ms = flag_value(args, i, "--default-deadline-ms")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--default-deadline-ms: {e}")))?;
-                    }
-                    "--degrade" => {
-                        i += 1;
-                        let spec = flag_value(args, i, "--degrade")?;
-                        degrade = fedex_serve::DegradeMode::parse(&spec)
-                            .map_err(|e| CliError(format!("--degrade: {e}")))?;
+                        config.default_deadline_ms = parsed_flag(args, i, "--default-deadline-ms")?;
                     }
                     "--write-timeout-ms" => {
                         i += 1;
-                        write_timeout_ms = flag_value(args, i, "--write-timeout-ms")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--write-timeout-ms: {e}")))?;
+                        config.write_timeout_ms = parsed_flag(args, i, "--write-timeout-ms")?;
                     }
                     "--exec" => {
                         i += 1;
@@ -238,9 +208,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--slow-ms" => {
                         i += 1;
-                        slow_ms = flag_value(args, i, "--slow-ms")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--slow-ms: {e}")))?;
+                        slow_ms = parsed_flag(args, i, "--slow-ms")?;
                     }
                     "--no-obs" => no_obs = true,
                     other => return Err(CliError(format!("unknown flag {other:?}"))),
@@ -248,14 +216,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 i += 1;
             }
             Ok(Command::Serve {
-                addr,
-                workers,
+                config,
                 cache_mb,
-                queue_depth,
-                session_quota,
-                default_deadline_ms,
-                degrade,
-                write_timeout_ms,
                 exec,
                 slow_ms,
                 no_obs,
@@ -279,15 +241,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--retries" => {
                         i += 1;
-                        retries = flag_value(args, i, "--retries")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--retries: {e}")))?;
+                        retries = parsed_flag(args, i, "--retries")?;
                     }
                     "--retry-budget-ms" => {
                         i += 1;
-                        retry_budget_ms = flag_value(args, i, "--retry-budget-ms")?
-                            .parse()
-                            .map_err(|e| CliError(format!("--retry-budget-ms: {e}")))?;
+                        retry_budget_ms = parsed_flag(args, i, "--retry-budget-ms")?;
                     }
                     other => return Err(CliError(format!("unknown flag {other:?}"))),
                 }
@@ -322,19 +280,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--sample" => {
                         i += 1;
-                        sample = Some(
-                            flag_value(args, i, "--sample")?
-                                .parse::<usize>()
-                                .map_err(|e| CliError(format!("--sample: {e}")))?,
-                        );
+                        sample = Some(parsed_flag(args, i, "--sample")?);
                     }
                     "--top" => {
                         i += 1;
-                        top = Some(
-                            flag_value(args, i, "--top")?
-                                .parse::<usize>()
-                                .map_err(|e| CliError(format!("--top: {e}")))?,
-                        );
+                        top = Some(parsed_flag(args, i, "--top")?);
                     }
                     "--json" => json = true,
                     "--trace" => trace = true,
@@ -349,9 +299,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--width" => {
                         i += 1;
-                        width = flag_value(args, i, "--width")?
-                            .parse::<usize>()
-                            .map_err(|e| CliError(format!("--width: {e}")))?;
+                        width = parsed_flag(args, i, "--width")?;
                         if width > MAX_WIDTH {
                             return Err(CliError(format!(
                                 "--width must be at most {MAX_WIDTH}, got {width}"
@@ -474,14 +422,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             Ok(out)
         }
         Command::Serve {
-            addr,
-            workers,
+            config,
             cache_mb,
-            queue_depth,
-            session_quota,
-            default_deadline_ms,
-            degrade,
-            write_timeout_ms,
             exec,
             slow_ms,
             no_obs,
@@ -498,36 +440,21 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 fedex_serve::ExplainService::new(manager)
             });
             service.set_slow_explain_ms(slow_ms);
-            // Chaos runs opt in via the environment; a malformed spec is
-            // a startup error, never a silently quiet plan.
-            if let Some(plan) = fedex_serve::FaultPlan::from_env().map_err(CliError)? {
-                eprintln!("fedex-serve: fault injection active (seed {})", plan.seed());
-                service.set_faults(Some(Arc::new(plan)));
-            }
-            let server = fedex_serve::Server::bind(
-                &fedex_serve::ServerConfig {
-                    addr: addr.clone(),
-                    workers,
-                    queue_depth,
-                    session_quota,
-                    default_deadline_ms,
-                    degrade,
-                    write_timeout_ms,
-                    ..Default::default()
-                },
-                service,
-            )
-            .map_err(|e| CliError(format!("binding {addr}: {e}")))?;
+            let server = fedex_serve::Server::bind(&config, service)
+                .map_err(|e| CliError(format!("binding {}: {e}", config.addr)))?;
             let local = server
                 .local_addr()
                 .map_err(|e| CliError(format!("local addr: {e}")))?;
             // Announce readiness on stderr *before* blocking, so scripts
             // (and the CI smoke job) can wait for this line.
             eprintln!(
-                "fedex-serve listening on {local} ({workers} workers, cache budget \
-                 {cache_mb} MiB, queue depth {queue_depth}, \
-                 session quota {session_quota}, degrade {degrade:?}, \
-                 default deadline {default_deadline_ms} ms)"
+                "fedex-serve listening on {local} ({} workers, cache budget \
+                 {cache_mb} MiB, queue depth {}, session quota {}, \
+                 default deadline {} ms)",
+                config.workers,
+                config.queue_depth,
+                config.session_quota,
+                config.default_deadline_ms
             );
             server
                 .run()
@@ -693,8 +620,6 @@ mod tests {
             "1",
             "--default-deadline-ms",
             "2500",
-            "--degrade",
-            "force",
             "--write-timeout-ms",
             "750",
             "--exec",
@@ -707,14 +632,16 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Serve {
-                addr: "127.0.0.1:9999".to_string(),
-                workers: 8,
+                config: fedex_serve::ServerConfig {
+                    addr: "127.0.0.1:9999".to_string(),
+                    workers: 8,
+                    queue_depth: 5,
+                    session_quota: 1,
+                    default_deadline_ms: 2500,
+                    write_timeout_ms: 750,
+                    ..fedex_serve::ServerConfig::default()
+                },
                 cache_mb: 64,
-                queue_depth: 5,
-                session_quota: 1,
-                default_deadline_ms: 2500,
-                degrade: fedex_serve::DegradeMode::Force,
-                write_timeout_ms: 750,
                 exec: ExecutionMode::Serial,
                 slow_ms: 250,
                 no_obs: true,
@@ -724,21 +651,14 @@ mod tests {
         assert_eq!(
             parse_args(&s(&["serve"])).unwrap(),
             Command::Serve {
-                addr: "127.0.0.1:4641".to_string(),
-                workers: 4,
+                config: fedex_serve::ServerConfig::default(),
                 cache_mb: 1024,
-                queue_depth: 64,
-                session_quota: 2,
-                default_deadline_ms: 300_000,
-                degrade: fedex_serve::DegradeMode::Auto,
-                write_timeout_ms: 5_000,
                 exec: ExecutionMode::default(),
                 slow_ms: 0,
                 no_obs: false,
             }
         );
         assert!(parse_args(&s(&["serve", "--slow-ms", "wat"])).is_err());
-        assert!(parse_args(&s(&["serve", "--degrade", "sometimes"])).is_err());
         let cmd = parse_args(&s(&[
             "client",
             "--addr",

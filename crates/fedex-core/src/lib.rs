@@ -62,9 +62,6 @@ pub use pipeline::{ExecutionMode, ExplainPipeline, PipelineContext, Stage, Stage
 pub use session::{
     Session, SessionEntry, SessionManager, SessionStats, StepSummary, RESULTS_STAGE, SESSION_BUDGET,
 };
-// Re-exported for the serving layer: degraded (FEDEX-Sampling) responses
-// report this bound without a direct fedex-stats dependency.
-pub use fedex_stats::sampling::sampling_error_bound;
 pub use skyline::{skyline_indices, weighted_score, StreamingSkyline};
 pub use viz::{
     write_json_number, write_json_string, write_stage_trace_json, Bar, Chart, ChartKind, MAX_WIDTH,

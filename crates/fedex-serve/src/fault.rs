@@ -12,15 +12,17 @@
 //! (SplitMix64), so a given seed yields the same fault *sequence* run to
 //! run: the n-th decision of each kind is reproducible, independent of
 //! thread scheduling. Plans are parsed from a compact spec string
-//! (`"seed=7,panic=0.1,disconnect=0.05,torn=0.05,delay_ms=10"`) passed
-//! via the `FEDEX_FAULTS` environment variable or bench flags. Rates are
-//! probabilities in `[0, 1]`; `delay_ms` is added to every explain.
+//! (`"seed=7,panic=0.1,disconnect=0.05,torn=0.05,delay_ms=10"`) and
+//! installed in-process with
+//! [`ExplainService::set_faults`](crate::service::ExplainService::set_faults).
+//! Rates are probabilities in `[0, 1]`; `delay_ms` is added to every
+//! explain.
 //!
 //! The plan is injected **behind** the robustness layer under test: a
 //! panic fires inside the session lock (exercising poisoned-lock
 //! recovery), write faults fire on the response path (exercising write
-//! timeouts and disconnect accounting). Production servers simply run
-//! without a plan — every hook is an `Option` that defaults to `None`.
+//! timeouts and disconnect accounting). The `fedex serve` binary never
+//! installs a plan — every hook is an `Option` that defaults to `None`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -108,16 +110,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// The plan named by the `FEDEX_FAULTS` environment variable, when
-    /// set. A malformed spec is a startup error, not a silently quiet
-    /// plan — a chaos run with a typo'd spec must not pass green.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("FEDEX_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// The seed the plan was built with.

@@ -74,8 +74,6 @@ pub mod service;
 pub use client::{Client, RetryPolicy};
 pub use fault::FaultPlan;
 pub use json::{Json, JsonError};
-pub use sched::{
-    DegradeMode, RequestClass, SchedMetrics, SchedSnapshot, Scheduler, SchedulerConfig,
-};
+pub use sched::{RequestClass, SchedMetrics, SchedSnapshot, Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use service::{ExplainService, JobContext, ServerMetrics, ServerSnapshot, DEGRADE_SAMPLE_SIZE};
+pub use service::{ExplainService, JobContext, ServerMetrics, ServerSnapshot};

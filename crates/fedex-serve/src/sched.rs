@@ -73,41 +73,12 @@ pub fn classify(cmd: &str) -> RequestClass {
     }
 }
 
-/// When the scheduler may downgrade an explain to the FEDEX-Sampling
-/// path (§3.7) instead of rejecting or running it full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradeMode {
-    /// Never degrade: pressure is answered `overloaded`, tight deadlines
-    /// run full and expire.
-    Off,
-    /// Degrade when the heavy queue crosses its pressure watermark, when
-    /// the deadline budget can't fit a full explain (estimated from the
-    /// last full run), or when the queue would otherwise overflow.
-    #[default]
-    Auto,
-    /// Every explain takes the sampling path (tests and benches).
-    Force,
-}
-
-impl DegradeMode {
-    /// Parse the wire/CLI spelling: `off`, `auto`, or `force`.
-    pub fn parse(s: &str) -> Result<DegradeMode, String> {
-        match s {
-            "off" => Ok(DegradeMode::Off),
-            "auto" => Ok(DegradeMode::Auto),
-            "force" => Ok(DegradeMode::Force),
-            other => Err(format!("unknown degrade mode {other:?} (off|auto|force)")),
-        }
-    }
-}
-
 /// Admission knobs, carried by
 /// [`ServerConfig`](crate::server::ServerConfig).
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Bound of the heavy queue (queued, not running). A full queue
-    /// answers `overloaded` — unless degradation admits the request on
-    /// the sampling path (see [`DegradeMode`]).
+    /// answers `overloaded`.
     pub queue_depth: usize,
     /// Max heavy requests one session may have queued + running; the next
     /// one is answered `quota_exceeded`.
@@ -115,8 +86,6 @@ pub struct SchedulerConfig {
     /// Deadline budget stamped on requests that don't carry their own
     /// `deadline_ms` field. `0` means no default deadline.
     pub default_deadline_ms: u64,
-    /// Degradation policy (see [`DegradeMode`]).
-    pub degrade: DegradeMode,
 }
 
 impl Default for SchedulerConfig {
@@ -125,7 +94,6 @@ impl Default for SchedulerConfig {
             queue_depth: 64,
             session_quota: 2,
             default_deadline_ms: 300_000,
-            degrade: DegradeMode::Auto,
         }
     }
 }
@@ -145,8 +113,6 @@ pub struct SchedMetrics {
     pub rejected_quota: AtomicU64,
     /// Jobs fully served (response delivered).
     pub completed: AtomicU64,
-    /// Explains admitted on the degraded (sampling) path.
-    pub degraded: AtomicU64,
     /// Heavy jobs whose deadline expired (or whose waiter left) before
     /// a worker picked them up — answered typed, never dispatched.
     pub expired: AtomicU64,
@@ -176,8 +142,6 @@ pub struct SchedSnapshot {
     pub rejected_quota: u64,
     /// Jobs fully served.
     pub completed: u64,
-    /// Degraded admissions.
-    pub degraded: u64,
     /// Jobs expired before dispatch.
     pub expired: u64,
     /// Waiters that left early.
@@ -201,7 +165,6 @@ impl SchedMetrics {
         let completed = self.completed.load(Ordering::SeqCst);
         let expired = self.expired.load(Ordering::SeqCst);
         let detached = self.detached.load(Ordering::SeqCst);
-        let degraded = self.degraded.load(Ordering::SeqCst);
         let rejected_overloaded = self.rejected_overloaded.load(Ordering::SeqCst);
         let rejected_quota = self.rejected_quota.load(Ordering::SeqCst);
         let admitted_control = self.admitted_control.load(Ordering::SeqCst);
@@ -212,7 +175,6 @@ impl SchedMetrics {
             rejected_overloaded,
             rejected_quota,
             completed,
-            degraded,
             expired,
             detached,
             queued_control_now: self.queued_control_now.load(Ordering::Relaxed),
@@ -231,7 +193,6 @@ impl SchedMetrics {
             ("rejected_overloaded", n(m.rejected_overloaded)),
             ("rejected_quota", n(m.rejected_quota)),
             ("completed", n(m.completed)),
-            ("degraded", n(m.degraded)),
             ("expired", n(m.expired)),
             ("detached", n(m.detached)),
             ("queued_control", n(m.queued_control_now)),
@@ -271,8 +232,6 @@ struct Job {
     class: RequestClass,
     /// Session the job charges its quota to (heavy only).
     session: Option<String>,
-    /// Run on the FEDEX-Sampling path (see [`DegradeMode`]).
-    degraded: bool,
     /// Trace id minted at admission (0 when observability is off).
     trace_id: u64,
     /// When the job entered its queue — the admission-wait clock.
@@ -382,23 +341,6 @@ impl Scheduler {
                 trace_id,
             ));
         }
-        let degraded = cmd == "explain"
-            && match self.config.degrade {
-                DegradeMode::Off => false,
-                DegradeMode::Force => true,
-                DegradeMode::Auto => {
-                    let watermark = (self.config.queue_depth / 2).max(1);
-                    let pressure = inner.heavy.len() >= watermark;
-                    // A cold full explain can't fit the deadline budget:
-                    // serve the cheap approximate answer instead of an
-                    // expensive one nobody will be around to read.
-                    let est = self.service.estimated_explain_micros();
-                    let too_tight = est > 0
-                        && deadline_ms > 0
-                        && Duration::from_millis(deadline_ms) < Duration::from_micros(est);
-                    pressure || too_tight
-                }
-            };
         match class {
             RequestClass::Control => {
                 if inner.control.len() >= CONTROL_QUEUE_DEPTH {
@@ -422,7 +364,6 @@ impl Scheduler {
                     req,
                     class,
                     session: None,
-                    degraded: false,
                     trace_id,
                     enqueued: Instant::now(),
                     state: state.clone(),
@@ -453,37 +394,24 @@ impl Scheduler {
                     ));
                 }
                 if inner.heavy.len() >= self.config.queue_depth {
-                    // Overflow band: a degraded explain is cheap enough
-                    // to admit past the full-run bound — up to twice the
-                    // depth — so pressure degrades service instead of
-                    // refusing it. Beyond the band, or for non-explain
-                    // heavy work, backpressure stays explicit.
-                    let overflow_ok =
-                        degraded && inner.heavy.len() < self.config.queue_depth.saturating_mul(2);
-                    if !overflow_ok {
-                        self.metrics
-                            .rejected_overloaded
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(self.reject_counted(
-                            "overloaded",
-                            format!(
-                                "explain queue full ({} requests waiting, depth {})",
-                                inner.heavy.len(),
-                                self.config.queue_depth
-                            ),
-                            cmd,
-                            &session,
-                            trace_id,
-                        ));
-                    }
-                }
-                if degraded {
-                    self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .rejected_overloaded
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Err(self.reject_counted(
+                        "overloaded",
+                        format!(
+                            "explain queue full ({} requests waiting, depth {})",
+                            inner.heavy.len(),
+                            self.config.queue_depth
+                        ),
+                        cmd,
+                        &session,
+                        trace_id,
+                    ));
                 }
                 if let Some(obs) = self.service.obs() {
-                    let detail = if degraded { "heavy degraded" } else { "heavy" };
                     obs.recorder()
-                        .push(trace_id, "admit", cmd, &session, detail, "", 0);
+                        .push(trace_id, "admit", cmd, &session, "heavy", "", 0);
                 }
                 let state = JobState::new(cancel);
                 *inner.per_session.entry(session.clone()).or_insert(0) += 1;
@@ -491,7 +419,6 @@ impl Scheduler {
                     req,
                     class,
                     session: Some(session),
-                    degraded,
                     trace_id,
                     enqueued: Instant::now(),
                     state: state.clone(),
@@ -686,7 +613,6 @@ impl Scheduler {
             }
             None => {
                 let jctx = JobContext {
-                    degraded: job.degraded,
                     cancel: heavy.then(|| job.state.cancel.clone()),
                     trace_id: (job.trace_id != 0).then_some(job.trace_id),
                     queue_wait_micros: Some(wait.as_micros() as u64),
@@ -840,13 +766,5 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-    }
-
-    #[test]
-    fn degrade_mode_parses() {
-        assert_eq!(DegradeMode::parse("off").unwrap(), DegradeMode::Off);
-        assert_eq!(DegradeMode::parse("auto").unwrap(), DegradeMode::Auto);
-        assert_eq!(DegradeMode::parse("force").unwrap(), DegradeMode::Force);
-        assert!(DegradeMode::parse("ON").is_err());
     }
 }

@@ -33,11 +33,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::json::{self, Json};
-use crate::sched::{DegradeMode, Scheduler, SchedulerConfig};
+use crate::sched::{Scheduler, SchedulerConfig};
 use crate::service::ExplainService;
 
 /// Serving knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:4641` (port 0 = ephemeral).
     pub addr: String,
@@ -58,9 +58,6 @@ pub struct ServerConfig {
     /// Deadline budget for requests without their own `deadline_ms`
     /// field; `0` disables the default (CLI: `--default-deadline-ms`).
     pub default_deadline_ms: u64,
-    /// When explains may degrade to the FEDEX-Sampling path (CLI:
-    /// `--degrade off|auto|force`).
-    pub degrade: DegradeMode,
     /// Timeout on every response write; a peer that stops reading frees
     /// the I/O thread after this long (CLI: `--write-timeout-ms`).
     pub write_timeout_ms: u64,
@@ -76,7 +73,6 @@ impl Default for ServerConfig {
             session_quota: sched.session_quota,
             max_connections: 1024,
             default_deadline_ms: sched.default_deadline_ms,
-            degrade: sched.degrade,
             write_timeout_ms: 5_000,
         }
     }
@@ -106,7 +102,6 @@ impl Server {
                 queue_depth: config.queue_depth.max(1),
                 session_quota: config.session_quota.max(1),
                 default_deadline_ms: config.default_deadline_ms,
-                degrade: config.degrade,
             },
         })
     }

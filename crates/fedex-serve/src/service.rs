@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use fedex_core::cache::ARTIFACTS;
 use fedex_core::{
-    sampling_error_bound, to_json_array, write_stage_trace_json, CancelToken, ExplainError,
-    SessionManager, StageReport, MAX_WIDTH, RESULTS_STAGE,
+    to_json_array, write_stage_trace_json, CancelToken, ExplainError, SessionManager, StageReport,
+    MAX_WIDTH,
 };
 use fedex_frame::{Column, DataFrame};
 use fedex_obs::{parse_trace_id, trace_id_str, HistSnapshot, Obs, PromWriter};
@@ -43,10 +43,6 @@ use fedex_obs::{parse_trace_id, trace_id_str, HistSnapshot, Obs, PromWriter};
 use crate::fault::FaultPlan;
 use crate::json::{self, n, obj, s, Json};
 use crate::sched::SchedMetrics;
-
-/// Sample size of a degraded (FEDEX-Sampling) explain — the paper's
-/// recommended interestingness sample (§3.7).
-pub const DEGRADE_SAMPLE_SIZE: usize = 5_000;
 
 /// Wire-visible server counters.
 #[derive(Debug, Default)]
@@ -64,8 +60,6 @@ pub struct ServerMetrics {
     /// Explains that panicked and were isolated (each produced a typed
     /// `internal_error` response with an incident id).
     pub panics: AtomicU64,
-    /// Explains served on the degraded FEDEX-Sampling path.
-    pub degraded: AtomicU64,
     /// `deadline_exceeded` responses produced (expired waiters plus
     /// pipeline aborts).
     pub deadline_exceeded: AtomicU64,
@@ -92,8 +86,6 @@ pub struct ServerSnapshot {
     pub connections: u64,
     /// Isolated panics.
     pub panics: u64,
-    /// Degraded explains.
-    pub degraded: u64,
     /// `deadline_exceeded` responses.
     pub deadline_exceeded: u64,
     /// `cancelled` responses.
@@ -111,7 +103,6 @@ impl ServerMetrics {
     /// never shows `errors > requests` or `explains > requests`, which
     /// the previous per-field `to_json` reads could.
     pub fn snapshot(&self) -> ServerSnapshot {
-        let degraded = self.degraded.load(Ordering::SeqCst);
         let panics = self.panics.load(Ordering::SeqCst);
         let deadline_exceeded = self.deadline_exceeded.load(Ordering::SeqCst);
         let cancelled = self.cancelled.load(Ordering::SeqCst);
@@ -128,7 +119,6 @@ impl ServerMetrics {
             registers,
             connections,
             panics,
-            degraded,
             deadline_exceeded,
             cancelled,
             disconnects,
@@ -144,7 +134,6 @@ impl ServerMetrics {
             ("registers", n(m.registers as f64)),
             ("connections", n(m.connections as f64)),
             ("panics", n(m.panics as f64)),
-            ("degraded", n(m.degraded as f64)),
             ("deadline_exceeded", n(m.deadline_exceeded as f64)),
             ("cancelled", n(m.cancelled as f64)),
             ("disconnects", n(m.disconnects as f64)),
@@ -153,13 +142,10 @@ impl ServerMetrics {
 }
 
 /// Per-job execution context the scheduler attaches to a dispatch: the
-/// degradation decision and the cancellation token the job's waiter
-/// shares.
+/// cancellation token the job's waiter shares, its trace id and its
+/// queue wait.
 #[derive(Debug, Clone, Default)]
 pub struct JobContext {
-    /// Serve this explain on the FEDEX-Sampling path and mark the
-    /// response `"degraded": true` with its error bound.
-    pub degraded: bool,
     /// Cooperative cancellation handle (deadline and/or abandoned-run
     /// flag) checked by the pipeline at work-unit boundaries.
     pub cancel: Option<CancelToken>,
@@ -181,10 +167,6 @@ pub struct ExplainService {
     /// Active fault-injection plan (chaos harness only; `None` in
     /// production).
     faults: RwLock<Option<Arc<FaultPlan>>>,
-    /// Wall-clock of the latest full (non-degraded) explain pipeline, in
-    /// microseconds — the scheduler's estimate for "is this deadline
-    /// budget plausibly enough for a full run?".
-    est_explain_micros: AtomicU64,
     /// Latency histograms, tracing, and the flight recorder. On by
     /// default; `None` only under `--no-obs` (overhead measurement).
     obs: Option<Arc<Obs>>,
@@ -395,7 +377,6 @@ impl ExplainService {
             shutdown: AtomicBool::new(false),
             scheduler: OnceLock::new(),
             faults: RwLock::new(None),
-            est_explain_micros: AtomicU64::new(0),
             obs,
             slow_explain_ms: AtomicU64::new(0),
         }
@@ -422,13 +403,6 @@ impl ExplainService {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// Microseconds the latest full (non-degraded) explain pipeline took;
-    /// 0 until one completes. The scheduler compares deadline budgets
-    /// against this to decide degradation.
-    pub fn estimated_explain_micros(&self) -> u64 {
-        self.est_explain_micros.load(Ordering::Relaxed)
     }
 
     /// Attach the admission scheduler's counters so the `metrics` command
@@ -467,7 +441,7 @@ impl ExplainService {
     }
 
     /// [`ExplainService::dispatch`] under a scheduler-provided
-    /// [`JobContext`] (degradation decision + cancellation token).
+    /// [`JobContext`] (cancellation token, trace id, queue wait).
     ///
     /// Every counted request records exactly one observation in its
     /// command's latency histogram, so the per-command counts sum to
@@ -669,7 +643,6 @@ impl ExplainService {
         let want_trace = req.get("trace").and_then(Json::as_bool).unwrap_or(false);
         self.metrics.explains.fetch_add(1, Ordering::Relaxed);
         let faults = self.faults();
-        let degraded = job.degraded;
         let cancel = job.cancel.clone();
         // Scheduler-admitted jobs arrive with a trace id minted at
         // admission; direct dispatches (tests, CLI, inline control
@@ -689,9 +662,6 @@ impl ExplainService {
                     if plan.should_panic() {
                         panic!("injected fault: panic mid-explain");
                     }
-                }
-                if degraded {
-                    config.sample_size = Some(DEGRADE_SAMPLE_SIZE);
                 }
                 config.trace_id = trace_id;
             });
@@ -757,20 +727,6 @@ impl ExplainService {
             ("stage_trace", Json::Raw(stage_trace)),
             ("encode_micros", n(encode_micros)),
         ];
-        if degraded {
-            // The accuracy the client traded for latency: a 95% DKW bound
-            // on the sampled interestingness scores.
-            fields.push(("degraded", Json::Bool(true)));
-            fields.push(("sample_size", n(DEGRADE_SAMPLE_SIZE as f64)));
-            fields.push(("error_bound", n(sampling_error_bound(DEGRADE_SAMPLE_SIZE))));
-            self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-        } else if !trace.iter().any(|r| r.stage == RESULTS_STAGE) {
-            // Full runs refresh the cold-run cost estimate the scheduler
-            // uses for deadline-driven degradation; a result answered from
-            // the cache says nothing about what a run costs.
-            self.est_explain_micros
-                .store(total_micros, Ordering::Relaxed);
-        }
         if let Some(spans) = spans {
             // `total_micros` is the sum of the per-stage spans by
             // construction, so clients can check that the spans account
@@ -784,7 +740,6 @@ impl ExplainService {
                         "queue_micros",
                         job.queue_wait_micros.map_or(Json::Null, |q| n(q as f64)),
                     ),
-                    ("degraded", Json::Bool(degraded)),
                     ("spans", spans),
                 ]),
             ));
@@ -899,12 +854,6 @@ impl ExplainService {
             "fedex_panics_total",
             "Explains that panicked and were isolated.",
             m.panics,
-        );
-        counter(
-            &mut w,
-            "fedex_degraded_explains_total",
-            "Explains served on the degraded sampling path.",
-            m.degraded,
         );
         counter(
             &mut w,
@@ -1044,12 +993,6 @@ impl ExplainService {
                 "fedex_sched_completed_total",
                 "Jobs fully served.",
                 sc.completed,
-            );
-            counter(
-                &mut w,
-                "fedex_sched_degraded_total",
-                "Explains admitted on the degraded path.",
-                sc.degraded,
             );
             counter(
                 &mut w,
@@ -1219,85 +1162,9 @@ mod tests {
         assert_eq!(h.get("entries").unwrap().as_arr().unwrap().len(), 2);
     }
 
-    fn explain_req(session: &str, sql: &str) -> Json {
-        obj([
-            ("cmd", s("explain")),
-            ("session", s(session)),
-            ("sql", s(sql)),
-        ])
-    }
-
-    /// The stage names of an explain reply's `stage_trace`, read back from
-    /// the encoded reply as a client would (the field is spliced raw).
-    fn stages(r: &Json) -> Vec<String> {
-        let r = json::parse(&r.encode()).unwrap();
-        r.get("stage_trace")
-            .and_then(Json::as_arr)
-            .unwrap_or_else(|| panic!("{r:?}"))
-            .iter()
-            .filter_map(|st| st.get("stage").and_then(Json::as_str).map(str::to_string))
-            .collect()
-    }
-
     #[test]
     fn the_results_stage_has_a_stage_histogram() {
-        assert!(fedex_obs::STAGES.contains(&RESULTS_STAGE));
-    }
-
-    #[test]
-    fn a_result_hit_keeps_the_degradation_estimate() {
-        let svc = ExplainService::default();
-        svc.dispatch(&register_req());
-        let req = explain_req("s1", "SELECT * FROM songs WHERE popularity > 65");
-        // Cold, then warm: the warm run admits its result and is the
-        // latest full run.
-        for _ in 0..2 {
-            let r = svc.dispatch(&req);
-            assert!(!stages(&r).contains(&RESULTS_STAGE.to_string()), "{r:?}");
-        }
-        let est = svc.estimated_explain_micros();
-        assert!(est > 0);
-        let r = svc.dispatch(&req);
-        assert_eq!(stages(&r), [RESULTS_STAGE], "{r:?}");
-        assert_eq!(svc.estimated_explain_micros(), est);
-    }
-
-    #[test]
-    fn degraded_results_never_answer_exact_explains() {
-        // More rows than the degraded sample, so sampling changes scores.
-        let demo =
-            json::parse(r#"{"cmd":"register_demo","session":"d","rows":6000,"seed":5}"#).unwrap();
-        let req = explain_req("d", "SELECT * FROM spotify WHERE popularity > 65");
-        let explanations = |r: &Json| r.get("explanations").map(Json::encode);
-        let exact = {
-            let fresh = ExplainService::default();
-            fresh.dispatch(&demo);
-            explanations(&fresh.dispatch(&req)).unwrap()
-        };
-        let svc = ExplainService::default();
-        svc.dispatch(&demo);
-        let degraded = JobContext {
-            degraded: true,
-            ..JobContext::default()
-        };
-        // Twice, so the second degraded run admits its result.
-        for _ in 0..2 {
-            let r = svc.dispatch_job(&req, &degraded);
-            assert_eq!(r.get("degraded"), Some(&Json::Bool(true)), "{r:?}");
-            assert_ne!(explanations(&r).as_ref(), Some(&exact));
-        }
-        // The first exact explain runs the pipeline, and by the third
-        // one an exact result answers; every one returns the exact bytes.
-        for run in 0..3 {
-            let r = svc.dispatch(&req);
-            assert_eq!(explanations(&r).as_ref(), Some(&exact), "run {run}");
-            let hit = stages(&r) == [RESULTS_STAGE];
-            match run {
-                0 => assert!(!hit, "{r:?}"),
-                2 => assert!(hit, "{r:?}"),
-                _ => {}
-            }
-        }
+        assert!(fedex_obs::STAGES.contains(&fedex_core::RESULTS_STAGE));
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //! answer typed and the session recovers, expired deadlines answer fast
 //! and typed, each request keeps its own deadline beside an identical
 //! concurrent one, a disconnected client's job is cancelled and frees its
-//! slots, a job whose waiter left stops waiting for its busy session, and
-//! degraded explains are deterministic.
+//! slots, and a job whose waiter left stops waiting for its busy session.
 
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fedex_serve::{
-    json, Client, DegradeMode, ExplainService, FaultPlan, Json, Server, ServerConfig, ServerHandle,
+    json, Client, ExplainService, FaultPlan, Json, Server, ServerConfig, ServerHandle,
 };
 
 const SQL: &str = "SELECT * FROM spotify WHERE popularity > 65";
@@ -23,7 +22,7 @@ const BIG_ROWS: usize = 150_000;
 /// times the 300 ms budget even on a fast host.
 const RACE_ROWS: usize = 300_000;
 
-fn boot(degrade: DegradeMode) -> ServerHandle {
+fn boot() -> ServerHandle {
     let service = Arc::new(ExplainService::default());
     Server::bind(
         &ServerConfig {
@@ -32,7 +31,6 @@ fn boot(degrade: DegradeMode) -> ServerHandle {
             queue_depth: 16,
             session_quota: 4,
             max_connections: 64,
-            degrade,
             ..Default::default()
         },
         service,
@@ -85,7 +83,7 @@ fn assert_drains(addr: &str) {
 
 #[test]
 fn injected_panic_answers_typed_and_the_session_recovers() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     register(&addr, "s", 4_000);
 
@@ -129,7 +127,7 @@ fn injected_panic_answers_typed_and_the_session_recovers() {
 
 #[test]
 fn expired_deadline_answers_fast_and_typed() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     // Big enough that a cold explain takes O(seconds) — the 300ms budget
     // below cannot fit it.
@@ -167,7 +165,7 @@ fn expired_deadline_answers_fast_and_typed() {
 
 #[test]
 fn disconnected_client_cancels_and_frees_its_job() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     register(&addr, "s", BIG_ROWS);
 
@@ -242,7 +240,7 @@ fn timed_explain(addr: &str, extra: &str) -> (Json, Duration) {
 
 #[test]
 fn a_request_without_a_deadline_outlives_an_identical_short_one() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     register(&addr, "s", RACE_ROWS);
 
@@ -264,7 +262,7 @@ fn a_request_without_a_deadline_outlives_an_identical_short_one() {
 
 #[test]
 fn a_short_deadline_expires_on_time_beside_an_identical_long_run() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     register(&addr, "s", RACE_ROWS);
 
@@ -302,7 +300,7 @@ fn timed_explain_in(addr: &str, session: &str, sql: &str, extra: &str) -> (Json,
 
 #[test]
 fn a_job_whose_waiter_left_frees_its_worker_while_the_session_is_busy() {
-    let handle = boot(DegradeMode::Off);
+    let handle = boot();
     let addr = handle.addr().to_string();
     register(&addr, "s", RACE_ROWS);
     register(&addr, "b", 2_000);
@@ -328,32 +326,5 @@ fn a_job_whose_waiter_left_frees_its_worker_while_the_session_is_busy() {
         "the small explain took {small_elapsed:?}, the long run {long_elapsed:?}"
     );
     assert_drains(&addr);
-    handle.stop().unwrap();
-}
-
-#[test]
-fn degraded_explains_are_deterministic() {
-    let handle = boot(DegradeMode::Force);
-    let addr = handle.addr().to_string();
-    register(&addr, "s", 20_000);
-
-    let mut c = Client::connect(&addr).unwrap();
-    let explain = req(&format!(
-        r#"{{"cmd":"explain","session":"s","sql":"{SQL}"}}"#
-    ));
-    let first = c.request(&explain).unwrap();
-    let second = c.request(&explain).unwrap();
-    for r in [&first, &second] {
-        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
-        assert_eq!(r.get("degraded"), Some(&Json::Bool(true)), "{r:?}");
-        let bound = r.get("error_bound").and_then(Json::as_f64).unwrap();
-        assert!(bound > 0.0 && bound < 1.0, "DKW bound in (0,1): {bound}");
-        assert!(r.get("sample_size").and_then(Json::as_f64).unwrap() > 0.0);
-    }
-    assert_eq!(
-        first.get("rendered").and_then(Json::as_str),
-        second.get("rendered").and_then(Json::as_str),
-        "the sampling path is seeded: same request, same bytes"
-    );
     handle.stop().unwrap();
 }

@@ -1,9 +1,8 @@
 //! Differential trace replay against this crate's server: the same
 //! seed, compiled to the same trace, replayed twice against two fresh
-//! servers, must produce **byte-identical** non-degraded explain
-//! payloads — and each run must pass the frontier gate (typed failures
-//! only, DKW bounds on every degraded answer, conserved Prometheus
-//! counters, all four provenance kinds answered).
+//! servers, must produce **byte-identical** explain payloads — and each
+//! run must pass the frontier gate (typed failures only, conserved
+//! Prometheus counters, all four provenance kinds answered).
 //!
 //! This is the machine-checkable form of the determinism claim the
 //! goldens make for single queries, extended to full multi-client
@@ -99,8 +98,8 @@ fn same_seed_replays_are_response_identical() {
     assert!(gate1.is_empty(), "run 1 frontier gate: {gate1:?}");
     assert!(gate2.is_empty(), "run 2 frontier gate: {gate2:?}");
 
-    // The determinism gate: every op both runs answered non-degraded
-    // must carry an identical canonical payload.
+    // The determinism gate: every op both runs answered must carry an
+    // identical canonical payload.
     let diff = differential_violations(&run1, &run2);
     assert!(diff.is_empty(), "differential gate: {diff:?}");
 
@@ -111,13 +110,11 @@ fn same_seed_replays_are_response_identical() {
     for (a, b) in run1.results.iter().zip(&run2.results) {
         assert_eq!(a.id, b.id);
         assert!(a.ok, "op {} failed in run 1: {:?}", a.id, a.code);
-        if !a.degraded && !b.degraded {
-            assert_eq!(
-                a.payload, b.payload,
-                "op {} ({}) payload diverged between same-seed runs",
-                a.id, a.kind
-            );
-        }
+        assert_eq!(
+            a.payload, b.payload,
+            "op {} ({}) payload diverged between same-seed runs",
+            a.id, a.kind
+        );
     }
 
     // All four provenance kinds produced a successful explain.

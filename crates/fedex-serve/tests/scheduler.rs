@@ -10,9 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fedex_serve::{
-    json, Client, DegradeMode, ExplainService, Json, Server, ServerConfig, ServerHandle,
-};
+use fedex_serve::{json, Client, ExplainService, Json, Server, ServerConfig, ServerHandle};
 
 /// Large enough that one cold explain takes O(seconds) on CI hardware —
 /// the window in which control latency and admission bounds are observed.
@@ -28,10 +26,6 @@ fn boot(workers: usize, queue_depth: usize, session_quota: usize) -> ServerHandl
             queue_depth,
             session_quota,
             max_connections: 64,
-            // These tests pin the overloaded/quota_exceeded contracts;
-            // auto-degradation would serve the pressure cases instead of
-            // rejecting them.
-            degrade: DegradeMode::Off,
             ..Default::default()
         },
         service,
@@ -119,7 +113,7 @@ fn control_commands_are_served_while_a_long_explain_runs() {
     // sub-millisecond.
     assert!(
         worst < Duration::from_secs(1),
-        "control round-trip degraded to {worst:?} during an explain"
+        "control round-trip slowed to {worst:?} during an explain"
     );
     handle.stop().unwrap();
 }

@@ -23,4 +23,4 @@ pub use binning::{equal_frequency_bins, Bin};
 pub use descriptive::{coefficient_of_variation, mean, skewness, std_dev, variance};
 pub use ks::{ks_from_counts, ks_statistic, ValueDistribution};
 pub use ranking::{kendall_tau_distance, ndcg, precision_at_k};
-pub use sampling::{sampling_error_bound, uniform_sample_indices};
+pub use sampling::uniform_sample_indices;

@@ -25,39 +25,10 @@ pub fn uniform_sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
     pool
 }
 
-/// 95%-confidence Dvoretzky–Kiefer–Wolfowitz bound on the sup-norm error
-/// of an empirical CDF estimated from `sample_size` uniform draws:
-/// `sqrt(ln(2/0.05) / (2n))`, clamped to 1.
-///
-/// Interestingness under FEDEX-Sampling (§3.7) is a KS statistic (or CV)
-/// over sampled empirical distributions, so this bounds how far a sampled
-/// score can sit from the exact one — the serving layer reports it on
-/// degraded responses so clients see the accuracy they traded for
-/// latency. `sample_size == 0` (no sampling benefit) reports the vacuous
-/// bound 1.
-pub fn sampling_error_bound(sample_size: usize) -> f64 {
-    if sample_size == 0 {
-        return 1.0;
-    }
-    let n = sample_size as f64;
-    ((2.0_f64 / 0.05).ln() / (2.0 * n)).sqrt().min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-
-    #[test]
-    fn error_bound_shrinks_with_sample_size() {
-        let b5k = sampling_error_bound(5_000);
-        let b50k = sampling_error_bound(50_000);
-        assert!(b5k > b50k);
-        assert!(b5k < 0.03, "{b5k}");
-        assert!((sampling_error_bound(5_000) - b5k).abs() < 1e-15, "pure");
-        assert_eq!(sampling_error_bound(0), 1.0);
-        assert_eq!(sampling_error_bound(1), 1.0, "clamped to the vacuous bound");
-    }
 
     #[test]
     fn sample_is_distinct_and_in_range() {
