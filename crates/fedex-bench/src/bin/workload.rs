@@ -2,33 +2,31 @@
 //! [`fedex_bench::workload`].
 //!
 //! ```text
-//! # Compile the seeded smoke preset to a trace file:
+//! # Compile a seeded preset (smoke by default, or chaos) to a trace file:
 //! cargo run --release -p fedex-bench --bin workload -- \
-//!     gen --seed 11 --out smoke.trace.ndjson
+//!     gen [--preset smoke|chaos] --seed 11 --out smoke.trace.ndjson
 //!
-//! # Replay it (spawns an in-process server), score the frontier gate,
-//! # and write the report; --differential replays twice against fresh
-//! # servers and additionally asserts response-identity:
+//! # Replay it (spawns an in-process server, under the trace's fault
+//! # plan if it has one), score the gate, and write the report;
+//! # --differential replays twice against fresh servers and
+//! # additionally asserts response-identity:
 //! cargo run --release -p fedex-bench --bin workload -- \
 //!     replay --trace smoke.trace.ndjson --differential --report BENCH_pr10.json
 //!
-//! # Or drive an already-running server:
+//! # Or drive an already-running server (traces without a fault plan):
 //! cargo run --release -p fedex-bench --bin workload -- \
 //!     replay --trace smoke.trace.ndjson --addr 127.0.0.1:4641 --speed 0
 //! ```
 //!
-//! Exit status: `0` = all gates passed, `1` = a gate violation,
+//! Exit status: `0` = the gate passed, `1` = a gate violation,
 //! `2` = usage, I/O, or trace-format error (typed, never a panic).
 
-use fedex_bench::workload::{
-    differential_violations, frontier_violations, replay, report_json, ReplayConfig, Trace,
-    WorkloadSpec,
-};
+use fedex_bench::workload::{gate, preset, replay, report_json, ReplayConfig, Trace};
 use fedex_serve::Json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  workload gen [--seed N] [--name S] [--out PATH]\n  workload replay --trace PATH [--addr HOST:PORT] [--workers N] [--speed X] \
+        "usage:\n  workload gen [--preset smoke|chaos] [--seed N] [--out PATH]\n  workload replay --trace PATH [--addr HOST:PORT] [--workers N] [--speed X] \
          [--report PATH] [--differential]"
     );
     std::process::exit(2);
@@ -59,13 +57,8 @@ fn gen(args: &[String]) {
     let seed = opt(args, "--seed")
         .map(|s| s.parse().unwrap_or_else(|_| fail("--seed wants a u64")))
         .unwrap_or(11);
-    let mut spec = WorkloadSpec::smoke(seed);
-    if let Some(name) = opt(args, "--name") {
-        spec.name = name;
-    }
-    let trace = spec
-        .compile()
-        .unwrap_or_else(|e| fail(&format!("compile: {e}")));
+    let name = opt(args, "--preset").unwrap_or_else(|| "smoke".to_string());
+    let trace = preset(&name, seed).unwrap_or_else(|e| fail(&format!("compile: {e}")));
     let text = trace.to_ndjson();
     match opt(args, "--out") {
         Some(path) => {
@@ -118,21 +111,24 @@ fn run_replay(args: &[String]) {
     }
 
     eprintln!(
-        "# replaying {} ops, {} clients{}",
+        "# replaying {} ops, {} clients{}{}",
         trace.ops.len(),
         trace.header.clients,
-        if differential { ", differential" } else { "" }
+        if differential { ", differential" } else { "" },
+        match &trace.header.faults {
+            Some(spec) => format!(", faults {spec}"),
+            None => String::new(),
+        }
     );
-    let run = replay(&trace, &cfg).unwrap_or_else(|e| fail(&format!("replay: {e}")));
-    let mut violations = frontier_violations(&run, &trace);
-
-    if differential {
-        let run2 = replay(&trace, &cfg).unwrap_or_else(|e| fail(&format!("replay #2: {e}")));
-        violations.extend(frontier_violations(&run2, &trace));
-        violations.extend(differential_violations(&run, &run2));
+    let mut runs = Vec::new();
+    for i in 0..if differential { 2 } else { 1 } {
+        runs.push(
+            replay(&trace, &cfg).unwrap_or_else(|e| fail(&format!("replay #{}: {e}", i + 1))),
+        );
     }
+    let violations = gate(&trace, &runs);
 
-    let report = report_json(&trace, &run, &violations);
+    let report = report_json(&trace, &runs[0], &violations);
     let rendered = render_report(&report);
     match opt(args, "--report") {
         Some(out) => {
@@ -142,7 +138,7 @@ fn run_replay(args: &[String]) {
         None => print!("{rendered}"),
     }
     if violations.is_empty() {
-        eprintln!("# frontier gate: PASS");
+        eprintln!("# gate: PASS");
     } else {
         for v in &violations {
             eprintln!("# VIOLATION: {v}");

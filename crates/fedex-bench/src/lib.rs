@@ -21,7 +21,6 @@
 //! substitution rationale.
 
 pub mod accuracy;
-pub mod driver;
 pub mod quality;
 pub mod runtime;
 pub mod sets;

@@ -22,6 +22,10 @@
 //!
 //! Everything is drawn from one [`SplitMix64`] stream seeded by
 //! `spec.seed`, so equal specs compile to byte-identical traces.
+//!
+//! [`preset`] names the compiled traces `workload gen --preset` writes:
+//! `smoke` ([`WorkloadSpec::smoke`]) and `chaos`, a fault-injected run
+//! whose traffic roles are set on the compiled ops.
 
 use fedex_frame::{Column, ColumnData, DataFrame};
 use fedex_serve::json::{self, Json};
@@ -285,6 +289,39 @@ impl WorkloadSpec {
         }
     }
 
+    /// The spec the `chaos` [`preset`] compiles before it sets its
+    /// traffic roles: one 10k-row spotify table and four clients of
+    /// filter explains, 20 ms apart, with no retries (one attempt per
+    /// op).
+    pub fn chaos(seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            name: "chaos".to_string(),
+            seed,
+            datasets: vec![DatasetSpec {
+                table: "spotify".into(),
+                base: BaseDataset::Spotify,
+                rows: 10_000,
+                product_rows: None,
+                steps: vec![],
+            }],
+            mix: QueryMix {
+                filter: 1,
+                group_by: 0,
+                join: 0,
+                union_: 0,
+            },
+            behavior: ClientBehavior {
+                clients: 4,
+                queries_per_client: 600,
+                think_ms_min: 20,
+                think_ms_max: 20,
+                deadline_ms: None,
+                retries: 0,
+                zipf_s: 0.0,
+            },
+        }
+    }
+
     /// The spec as JSON — echoed into the trace header so a trace file
     /// documents its own provenance.
     pub fn to_json(&self) -> Json {
@@ -492,6 +529,7 @@ impl WorkloadSpec {
                     think_ms,
                     retries: self.behavior.retries as u64,
                     deadline_ms: self.behavior.deadline_ms,
+                    hang_up: false,
                 });
                 id += 1;
                 q_index += 1;
@@ -504,6 +542,7 @@ impl WorkloadSpec {
                 seed: self.seed,
                 clients: self.behavior.clients as u64,
                 generator: self.to_json(),
+                faults: None,
             },
             ops,
         })
@@ -537,6 +576,55 @@ impl WorkloadSpec {
             .iter()
             .find(|d| d.base == BaseDataset::Sales)?;
         Some((p.table.clone(), s.table.clone()))
+    }
+}
+
+/// Explains each role client of the `chaos` preset keeps.
+const CHAOS_ROLE_OPS: u32 = 100;
+
+/// Compile a named preset (`smoke` or `chaos`) to its trace.
+///
+/// `chaos` is [`WorkloadSpec::chaos`] with roles set on the compiled
+/// ops: clients 0 and 1 flood, client 2 sends 40 ms deadlines every
+/// 250 ms, and client 3 hangs up unread every 200 ms (the role clients
+/// keep their first 100 explains, so every client spans about the same
+/// time). The header's fault plan injects worker panics, write
+/// disconnects, torn writes and 2 ms of stage latency, seeded from
+/// `seed`.
+pub fn preset(name: &str, seed: u64) -> Result<Trace, WorkloadError> {
+    match name {
+        "smoke" => WorkloadSpec::smoke(seed).compile(),
+        "chaos" => {
+            let mut trace = WorkloadSpec::chaos(seed).compile()?;
+            let mut sent = [0u32; 4];
+            trace.ops.retain_mut(|op| {
+                let TraceOp::Explain {
+                    client,
+                    think_ms,
+                    deadline_ms,
+                    hang_up,
+                    ..
+                } = op
+                else {
+                    return true;
+                };
+                let c = *client as usize;
+                sent[c] += 1;
+                match c {
+                    2 => (*think_ms, *deadline_ms) = (250, Some(40)),
+                    3 => (*think_ms, *hang_up) = (200, true),
+                    _ => return true,
+                }
+                sent[c] <= CHAOS_ROLE_OPS
+            });
+            trace.header.faults = Some(format!(
+                "seed={seed},panic=0.05,disconnect=0.05,torn=0.03,delay_ms=2"
+            ));
+            Ok(trace)
+        }
+        other => Err(WorkloadError::InvalidSpec(format!(
+            "unknown preset {other:?} (want smoke|chaos)"
+        ))),
     }
 }
 

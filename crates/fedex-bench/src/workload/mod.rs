@@ -16,12 +16,15 @@
 //!    never panics, so schema drift fails loudly instead of replaying
 //!    garbage.
 //! 3. [`mod@replay`] + [`report`] — drive the trace against a server with
-//!    one thread per simulated client (in-process or `--addr`), score
-//!    the run from the wire responses and the Prometheus surface, and
-//!    evaluate the machine-checkable **frontier gate**: zero untyped
-//!    failures, per-command counts conserve, all configured provenance
-//!    kinds got an answer, and a same-seed re-run is response-identical
-//!    for every explain.
+//!    one thread per simulated client (in-process or `--addr`, with a
+//!    header fault plan installed on the in-process server), probe the
+//!    control path, score the run from the wire responses and both
+//!    metric surfaces, and evaluate the one machine-checkable
+//!    [`gate`]: typed failures only, per-command counts conserve, all
+//!    configured provenance kinds got an answer, control p99 under
+//!    10 ms, queues drained and counters conserved, every incident
+//!    resolved, and a same-seed re-run response-identical for every
+//!    explain. [`preset`] names the compiled `smoke` and `chaos` traces.
 //!
 //! Everything downstream of the seed is deterministic: the spec owns a
 //! [`SplitMix64`] stream, think times are sampled at compile time into
@@ -33,9 +36,11 @@ pub mod replay;
 pub mod report;
 pub mod trace;
 
-pub use dsl::{BaseDataset, ClientBehavior, DatasetSpec, DatasetStep, QueryMix, WorkloadSpec};
+pub use dsl::{
+    preset, BaseDataset, ClientBehavior, DatasetSpec, DatasetStep, QueryMix, WorkloadSpec,
+};
 pub use replay::{replay, OpResult, ReplayConfig, ReplayRun};
-pub use report::{differential_violations, frontier_violations, report_json};
+pub use report::{gate, report_json};
 pub use trace::{Trace, TraceHeader, TraceOp, TRACE_MAGIC, TRACE_VERSION};
 
 use std::fmt;

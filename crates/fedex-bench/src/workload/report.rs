@@ -1,29 +1,39 @@
-//! Scoring: the frontier report and the machine-checkable gates.
+//! Scoring: the one gate and the report.
 //!
-//! Two gates, both returning human-readable violation lists that the
-//! `workload` binary turns into a nonzero exit:
+//! [`gate`] turns one or more replays of a trace into a list of
+//! human-readable violations, which the `workload` binary turns into a
+//! nonzero exit. Each run must hold:
 //!
-//! - [`frontier_violations`] — single-run quality/latency invariants:
-//!   zero untyped failures, zero transport losses against a healthy
-//!   server, the Prometheus exposition validates and conserves
-//!   (per-command histogram counts sum exactly to
-//!   `fedex_requests_total`), and every provenance kind the trace was
-//!   configured to cover produced at least one successful explain.
-//! - [`differential_violations`] — two runs of the same trace must be
-//!   response-identical wherever both answered: same
-//!   canonical payload (explanations, rendered text, row counts) at
-//!   every shared op id.
+//! - at least one explain result, zero untyped failures, and — on a
+//!   trace without a fault plan — zero transport errors and torn lines;
+//! - a successful explain of every provenance kind the trace schedules;
+//! - a Prometheus exposition that validates and conserves (per-command
+//!   histogram counts sum exactly to `fedex_requests_total`);
+//! - a control-probe ping p99 under 10 ms, over at least one sample;
+//! - queues drained to zero, and scheduler counters that conserve
+//!   (`admitted_control + admitted_heavy − completed == 1`, the one
+//!   being the `metrics` request that took the snapshot);
+//! - every `internal_error` incident resolved by `debug_dump`;
+//! - at least one server panic when the trace's fault plan injects them.
+//!
+//! Two or more runs of the same trace must also be response-identical
+//! wherever both answered: the same canonical payload (explanations,
+//! rendered text, row counts) at every shared op id.
 //!
 //! [`report_json`] assembles the `BENCH_pr10.json`-style artifact:
 //! client-observed p50/p99 per provenance kind, server-side per-command
-//! percentiles from the Prometheus histogram buckets, and typed-error
-//! census.
+//! percentiles from the Prometheus histogram buckets, the typed-error
+//! census, the control probe, incidents and the scheduler's counters.
 
 use fedex_obs::{validate_exposition, Exposition, WIRE_COMMANDS};
 use fedex_serve::json::{self, Json};
+use fedex_serve::FaultPlan;
 
-use super::replay::ReplayRun;
+use super::replay::{backlog, metric, ReplayRun, IO, TORN, UNTYPED};
 use super::trace::{Trace, TraceOp};
+
+/// The control probe's p99 must stay under this, in µs.
+const PING_P99_LIMIT_US: u64 = 10_000;
 
 /// Provenance kinds the trace actually schedules (set of `kind` values
 /// across explain ops).
@@ -83,23 +93,35 @@ fn bucket_percentile(exp: &Exposition, cmd: &str, p: f64) -> Option<f64> {
         .map(|(le, _)| *le)
 }
 
-/// The single-run frontier gate. Empty = pass.
-pub fn frontier_violations(run: &ReplayRun, trace: &Trace) -> Vec<String> {
+/// The gate over every replay of `trace` (see the module docs). Empty =
+/// pass.
+pub fn gate(trace: &Trace, runs: &[ReplayRun]) -> Vec<String> {
     let mut violations = Vec::new();
+    for run in runs {
+        run_violations(trace, run, &mut violations);
+    }
+    if let Some((first, rest)) = runs.split_first() {
+        for other in rest {
+            differential_violations(first, other, &mut violations);
+        }
+    }
+    violations
+}
 
+/// The checks one run must pass on its own.
+fn run_violations(trace: &Trace, run: &ReplayRun, violations: &mut Vec<String>) {
+    let plan = trace.header.faults.as_deref().map(FaultPlan::parse);
     if run.results.is_empty() {
         violations.push("trace produced no explain results".to_string());
     }
-    if run.untyped_errors > 0 {
-        violations.push(format!(
-            "{} failure responses carried no error code",
-            run.untyped_errors
-        ));
+    let untyped = run.count(Some(UNTYPED));
+    if untyped > 0 {
+        violations.push(format!("{untyped} failure responses carried no error code"));
     }
-    if run.io_errors > 0 || run.torn_lines > 0 {
+    let (io, torn) = (run.count(Some(IO)), run.count(Some(TORN)));
+    if plan.is_none() && (io > 0 || torn > 0) {
         violations.push(format!(
-            "{} transport errors / {} torn lines against a healthy server",
-            run.io_errors, run.torn_lines
+            "{io} transport errors / {torn} torn lines against a healthy server"
         ));
     }
 
@@ -142,13 +164,45 @@ pub fn frontier_violations(run: &ReplayRun, trace: &Trace) -> Vec<String> {
             }
         },
     }
-    violations
+
+    let ping_p99 = percentile(&run.ping_us, 0.99);
+    if run.ping_us.is_empty() || ping_p99 >= PING_P99_LIMIT_US {
+        violations.push(format!(
+            "control p99 {ping_p99}µs over {} samples (limit 10ms)",
+            run.ping_us.len()
+        ));
+    }
+    let m = &run.metrics;
+    if backlog(m) != 0.0 {
+        violations.push("queues failed to drain to zero within 60s (hung work)".into());
+    }
+    let deficit = metric(m, &["scheduler", "admitted_control"])
+        + metric(m, &["scheduler", "admitted_heavy"])
+        - metric(m, &["scheduler", "completed"]);
+    if deficit != 1.0 {
+        violations.push(format!(
+            "scheduler counters do not conserve: admitted - completed is {deficit}, want 1"
+        ));
+    }
+    if let Some(first) = run.unresolved_incidents.first() {
+        violations.push(format!(
+            "{} of {} internal_error incidents unresolved by debug_dump (first: {first})",
+            run.unresolved_incidents.len(),
+            run.incidents
+        ));
+    }
+    match plan {
+        Some(Err(e)) => violations.push(format!("trace fault plan invalid: {e}")),
+        Some(Ok(p)) if p.panic_rate > 0.0 && metric(m, &["server", "panics"]) == 0.0 => {
+            violations.push("no injected panic reached the metrics: fault plan inert?".into())
+        }
+        _ => {}
+    }
 }
 
-/// The determinism gate: wherever `a` and `b` both answered an op, the
-/// canonical payloads must be identical. Empty = pass.
-pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
-    let mut violations = Vec::new();
+/// Wherever `a` and `b` both answered an op, the canonical payloads
+/// must be identical.
+fn differential_violations(a: &ReplayRun, b: &ReplayRun, violations: &mut Vec<String>) {
     let bs: std::collections::HashMap<u64, &super::replay::OpResult> =
         b.results.iter().map(|r| (r.id, r)).collect();
     let mut compared = 0usize;
@@ -171,7 +225,6 @@ pub fn differential_violations(a: &ReplayRun, b: &ReplayRun) -> Vec<String> {
     if compared == 0 {
         violations.push("no op was answered by both runs — nothing compared".into());
     }
-    violations
 }
 
 /// The `BENCH_pr10.json`-style report object.
@@ -220,12 +273,14 @@ pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Jso
         ),
     };
 
-    let typed = Json::Obj(
-        run.typed_errors
-            .iter()
-            .map(|(k, v)| (k.clone(), json::n(*v as f64)))
-            .collect(),
-    );
+    let section = |key: &str| run.metrics.get(key).cloned().unwrap_or(Json::Null);
+    let mut typed = std::collections::BTreeMap::new();
+    for code in run.results.iter().filter_map(|r| r.code.as_deref()) {
+        if ![IO, TORN, UNTYPED].contains(&code) {
+            *typed.entry(code.to_string()).or_insert(0u64) += 1;
+        }
+    }
+    let typed = typed.into_iter().map(|(k, v)| (k, json::n(v as f64)));
 
     Json::Obj(vec![
         (
@@ -236,14 +291,38 @@ pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Jso
         ("clients".to_string(), json::n(trace.header.clients as f64)),
         ("ops".to_string(), json::n(trace.ops.len() as f64)),
         ("explains".to_string(), json::n(explains)),
-        ("ok".to_string(), json::n(run.ok as f64)),
+        ("ok".to_string(), json::n(run.count(None) as f64)),
         (
             "untyped_errors".to_string(),
-            json::n(run.untyped_errors as f64),
+            json::n(run.count(Some(UNTYPED)) as f64),
         ),
-        ("io_errors".to_string(), json::n(run.io_errors as f64)),
-        ("torn_lines".to_string(), json::n(run.torn_lines as f64)),
-        ("typed_errors".to_string(), typed),
+        ("io_errors".to_string(), json::n(run.count(Some(IO)) as f64)),
+        (
+            "torn_lines".to_string(),
+            json::n(run.count(Some(TORN)) as f64),
+        ),
+        ("typed_errors".to_string(), Json::Obj(typed.collect())),
+        (
+            "faults".to_string(),
+            trace.header.faults.clone().map_or(Json::Null, Json::Str),
+        ),
+        ("incidents".to_string(), json::n(run.incidents as f64)),
+        (
+            "incidents_resolved".to_string(),
+            json::n((run.incidents - run.unresolved_incidents.len() as u64) as f64),
+        ),
+        (
+            "ping_p99_us".to_string(),
+            json::n(percentile(&run.ping_us, 0.99) as f64),
+        ),
+        (
+            "ping_samples".to_string(),
+            json::n(run.ping_us.len() as f64),
+        ),
+        // Both carry the drained snapshot's counters, among them
+        // `server.panics` and `scheduler.rejected_overloaded`.
+        ("server".to_string(), section("server")),
+        ("scheduler".to_string(), section("scheduler")),
         ("per_kind".to_string(), Json::Arr(per_kind)),
         ("server_latency".to_string(), server_latency),
         (
@@ -256,7 +335,174 @@ pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Jso
 
 #[cfg(test)]
 mod tests {
+    use super::super::replay::OpResult;
+    use super::super::trace::TraceHeader;
     use super::*;
+
+    fn trace(faults: Option<&str>) -> Trace {
+        Trace {
+            header: TraceHeader {
+                name: "t".into(),
+                seed: 1,
+                clients: 1,
+                generator: Json::Null,
+                faults: faults.map(str::to_string),
+            },
+            ops: vec![TraceOp::Explain {
+                id: 0,
+                client: 0,
+                session: "t".into(),
+                kind: "filter".into(),
+                sql: "SELECT * FROM t WHERE x > 1".into(),
+                think_ms: 0,
+                retries: 0,
+                deadline_ms: None,
+                hang_up: false,
+            }],
+        }
+    }
+
+    /// A `metrics` response with the given counters; nothing running.
+    fn metrics(panics: u64, queued_heavy: u64, admitted_heavy: u64, completed: u64) -> Json {
+        json::parse(&format!(
+            r#"{{"server":{{"panics":{panics}}},"scheduler":{{"admitted_control":1,
+            "admitted_heavy":{admitted_heavy},"completed":{completed},"queued_control":0,
+            "queued_heavy":{queued_heavy},"running_heavy":0}}}}"#
+        ))
+        .unwrap()
+    }
+
+    /// A conserving exposition: one explain, no other command.
+    fn prom() -> String {
+        let mut text = String::from(
+            "# TYPE fedex_requests_total counter\nfedex_requests_total 1\n\
+             # TYPE fedex_request_duration_seconds histogram\n",
+        );
+        for cmd in WIRE_COMMANDS {
+            let n = u32::from(*cmd == "explain");
+            text.push_str(&format!(
+                "fedex_request_duration_seconds_bucket{{cmd=\"{cmd}\",le=\"+Inf\"}} {n}\n\
+                 fedex_request_duration_seconds_sum{{cmd=\"{cmd}\"}} 0\n\
+                 fedex_request_duration_seconds_count{{cmd=\"{cmd}\"}} {n}\n"
+            ));
+        }
+        text
+    }
+
+    /// A filter explain filed under `code` (`None` = answered).
+    fn answered(code: Option<&str>) -> OpResult {
+        OpResult {
+            id: 0,
+            client: 0,
+            kind: "filter".into(),
+            ok: code.is_none(),
+            code: code.map(str::to_string),
+            payload: code.is_none().then(|| "{}".to_string()),
+            latency_us: 900,
+        }
+    }
+
+    /// A run that passes every check: one answered filter explain, a
+    /// drained and conserving scheduler, fast pings.
+    fn healthy() -> ReplayRun {
+        ReplayRun {
+            results: vec![answered(None)],
+            incidents: 0,
+            unresolved_incidents: Vec::new(),
+            ping_us: vec![400; 20],
+            metrics: metrics(0, 0, 3, 3),
+            prom_text: prom(),
+        }
+    }
+
+    /// One answered explain, one transport error, one torn reply.
+    fn lossy() -> Vec<OpResult> {
+        vec![answered(None), answered(Some(IO)), answered(Some(TORN))]
+    }
+
+    #[test]
+    fn each_gate_check_yields_exactly_its_own_violation() {
+        assert_eq!(gate(&trace(None), &[healthy()]), Vec::<String>::new());
+        let panicking = "seed=1,panic=0.1";
+        assert_eq!(
+            gate(
+                &trace(Some(panicking)),
+                &[ReplayRun {
+                    metrics: metrics(2, 0, 3, 3),
+                    ..healthy()
+                }]
+            ),
+            Vec::<String>::new()
+        );
+        let cases: Vec<(&str, Option<&str>, ReplayRun)> = vec![
+            (
+                "queues failed to drain",
+                None,
+                ReplayRun {
+                    metrics: metrics(0, 2, 3, 3),
+                    ..healthy()
+                },
+            ),
+            (
+                "do not conserve",
+                None,
+                ReplayRun {
+                    metrics: metrics(0, 0, 4, 3),
+                    ..healthy()
+                },
+            ),
+            (
+                "1 of 1 internal_error incidents unresolved",
+                None,
+                ReplayRun {
+                    incidents: 1,
+                    unresolved_incidents: vec!["inc-00000001".into()],
+                    ..healthy()
+                },
+            ),
+            ("no injected panic", Some(panicking), healthy()),
+            (
+                "control p99 10000µs over 2 samples",
+                None,
+                ReplayRun {
+                    ping_us: vec![400, 10_000],
+                    ..healthy()
+                },
+            ),
+            (
+                "control p99 0µs over 0 samples",
+                None,
+                ReplayRun {
+                    ping_us: Vec::new(),
+                    ..healthy()
+                },
+            ),
+            (
+                "1 transport errors / 1 torn lines against a healthy server",
+                None,
+                ReplayRun {
+                    results: lossy(),
+                    ..healthy()
+                },
+            ),
+        ];
+        for (want, faults, run) in cases {
+            let violations = gate(&trace(faults), &[run]);
+            assert!(
+                violations.len() == 1 && violations[0].contains(want),
+                "want only {want:?}, got {violations:?}"
+            );
+        }
+        // Under a fault plan, transport losses are what the plan injects.
+        let torn = ReplayRun {
+            results: lossy(),
+            ..healthy()
+        };
+        assert_eq!(
+            gate(&trace(Some("seed=1,torn=0.1")), &[torn]),
+            Vec::<String>::new()
+        );
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -9,6 +9,11 @@
 //! {"op":"explain","id":2,"client":0,"session":"smoke","kind":"filter","sql":"SELECT …","think_ms":9,"retries":2,"deadline_ms":30000}
 //! ```
 //!
+//! A faulted trace (the `chaos` preset) adds a header `faults` spec in
+//! [`FaultPlan::parse`] syntax, and explains of clients that hang up
+//! carry `"hang_up":true`. Both keys are written only when set, so a
+//! trace without them keeps its bytes.
+//!
 //! Registration ops carry generator *parameters*, not data — the server
 //! regenerates the table from `(dataset, rows, seed)`, which keeps
 //! traces small and replay deterministic — except for tables derived by
@@ -19,6 +24,7 @@
 //! replay a *different workload* under the same name.
 
 use fedex_serve::json::{self, Json};
+use fedex_serve::FaultPlan;
 
 use super::WorkloadError;
 
@@ -39,6 +45,9 @@ pub struct TraceHeader {
     /// The generator config, echoed verbatim so a trace is reproducible
     /// from its own header (opaque to the replayer).
     pub generator: Json,
+    /// Fault plan the replayer's in-process server runs the client
+    /// phase under ([`FaultPlan::parse`] syntax); `None` = healthy.
+    pub faults: Option<String>,
 }
 
 /// One line of the trace body.
@@ -74,7 +83,7 @@ pub enum TraceOp {
     },
     /// One explain request issued by one simulated client.
     Explain {
-        /// Stable op id.
+        /// Stable op id (unique, increasing in file order).
         id: u64,
         /// Which client thread issues this op.
         client: u64,
@@ -91,6 +100,8 @@ pub enum TraceOp {
         retries: u64,
         /// Request deadline, when the behavior sets one.
         deadline_ms: Option<u64>,
+        /// The client writes the request and drops the socket unread.
+        hang_up: bool,
     },
 }
 
@@ -105,7 +116,8 @@ impl TraceOp {
     }
 
     /// The NDJSON request line this op sends to the server. Scoring
-    /// metadata (`kind`, `think_ms`, `retries`, `client`) stays local.
+    /// metadata (`kind`, `think_ms`, `retries`, `client`, `hang_up`)
+    /// stays local.
     pub fn wire_line(&self) -> String {
         match self {
             TraceOp::RegisterDemo {
@@ -209,6 +221,7 @@ impl TraceOp {
                 think_ms,
                 retries,
                 deadline_ms,
+                hang_up,
             } => {
                 let mut fields = vec![
                     ("op".to_string(), json::s("explain")),
@@ -222,6 +235,9 @@ impl TraceOp {
                 ];
                 if let Some(d) = deadline_ms {
                     fields.push(("deadline_ms".to_string(), json::n(*d as f64)));
+                }
+                if *hang_up {
+                    fields.push(("hang_up".to_string(), Json::Bool(true)));
                 }
                 Json::Obj(fields).to_string()
             }
@@ -243,15 +259,18 @@ impl Trace {
     /// Serialize to the NDJSON file format (trailing newline included).
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
-        let header = Json::Obj(vec![
+        let mut header = vec![
             ("trace".to_string(), json::s(TRACE_MAGIC)),
             ("version".to_string(), json::n(TRACE_VERSION as f64)),
             ("name".to_string(), json::s(self.header.name.clone())),
             ("seed".to_string(), json::n(self.header.seed as f64)),
             ("clients".to_string(), json::n(self.header.clients as f64)),
             ("generator".to_string(), self.header.generator.clone()),
-        ]);
-        out.push_str(&header.to_string());
+        ];
+        if let Some(spec) = &self.header.faults {
+            header.push(("faults".to_string(), json::s(spec.clone())));
+        }
+        out.push_str(&Json::Obj(header).to_string());
         out.push('\n');
         for op in &self.ops {
             out.push_str(&op.trace_line());
@@ -321,7 +340,7 @@ fn parse_header(line: &str) -> Result<TraceHeader, WorkloadError> {
     let mut generator = None;
     for (key, val) in pairs(&v, "header")? {
         match key.as_str() {
-            "trace" | "version" | "name" | "seed" | "clients" => {}
+            "trace" | "version" | "name" | "seed" | "clients" | "faults" => {}
             "generator" => generator = Some(val.clone()),
             other => {
                 return Err(WorkloadError::UnknownHeaderField {
@@ -330,6 +349,15 @@ fn parse_header(line: &str) -> Result<TraceHeader, WorkloadError> {
             }
         }
     }
+    let faults = match v.get("faults") {
+        None => None,
+        some => {
+            let spec = require_str(some, "header", "faults")?;
+            FaultPlan::parse(&spec)
+                .map_err(|e| WorkloadError::Malformed(format!("header faults: {e}")))?;
+            Some(spec)
+        }
+    };
     Ok(TraceHeader {
         name: require_str(v.get("name"), "header", "name")?,
         seed: require_u64(v.get("seed"), "header", "seed")?,
@@ -338,6 +366,7 @@ fn parse_header(line: &str) -> Result<TraceHeader, WorkloadError> {
             op: "header".to_string(),
             field: "generator".to_string(),
         })?,
+        faults,
     })
 }
 
@@ -416,6 +445,7 @@ fn parse_op(v: &Json) -> Result<TraceOp, WorkloadError> {
                     "think_ms",
                     "retries",
                     "deadline_ms",
+                    "hang_up",
                 ],
             )?;
             Ok(TraceOp::Explain {
@@ -429,6 +459,13 @@ fn parse_op(v: &Json) -> Result<TraceOp, WorkloadError> {
                 deadline_ms: match v.get("deadline_ms") {
                     None => None,
                     some => Some(require_u64(some, &kind, "deadline_ms")?),
+                },
+                hang_up: match v.get("hang_up") {
+                    None => false,
+                    Some(b) => b.as_bool().ok_or_else(|| WorkloadError::MissingField {
+                        op: kind.clone(),
+                        field: "hang_up".to_string(),
+                    })?,
                 },
             })
         }
@@ -475,6 +512,7 @@ mod tests {
                 seed: 9,
                 clients: 1,
                 generator: json::parse(r#"{"preset":"unit"}"#).unwrap(),
+                faults: None,
             },
             ops: vec![
                 TraceOp::RegisterDemo {
@@ -502,6 +540,7 @@ mod tests {
                     think_ms: 5,
                     retries: 2,
                     deadline_ms: Some(30_000),
+                    hang_up: false,
                 },
             ],
         }
@@ -509,11 +548,19 @@ mod tests {
 
     #[test]
     fn round_trips_byte_identically() {
-        let t = tiny();
-        let text = t.to_ndjson();
-        let parsed = Trace::parse(&text).unwrap();
-        assert_eq!(parsed, t);
-        assert_eq!(parsed.to_ndjson(), text);
+        let mut faulted = tiny();
+        faulted.header.faults = Some("seed=3,panic=0.5".into());
+        if let TraceOp::Explain { hang_up, .. } = &mut faulted.ops[2] {
+            *hang_up = true;
+        }
+        for t in [tiny(), faulted] {
+            let text = t.to_ndjson();
+            let parsed = Trace::parse(&text).unwrap();
+            assert_eq!(parsed, t);
+            assert_eq!(parsed.to_ndjson(), text);
+        }
+        assert!(!tiny().to_ndjson().contains("faults"));
+        assert!(!tiny().to_ndjson().contains("hang_up"));
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!    — by construction, for every seed;
 //! 3. forward compatibility is typed: unknown op kinds, unknown header
 //!    fields, unknown op fields, and future versions are
-//!    [`WorkloadError`]s, never panics and never silent acceptance.
+//!    [`WorkloadError`]s, never panics and never silent acceptance —
+//!    with and without the optional `faults` header spec and `hang_up`
+//!    explain flag, which are themselves checked.
 
 use fedex_bench::workload::{
-    BaseDataset, ClientBehavior, DatasetSpec, DatasetStep, QueryMix, Trace, TraceOp, WorkloadError,
-    WorkloadSpec,
+    preset, BaseDataset, ClientBehavior, DatasetSpec, DatasetStep, QueryMix, Trace, TraceOp,
+    WorkloadError, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -93,6 +95,24 @@ fn spec(
     }
 }
 
+/// Give `trace` a fault plan (`panic_pct` > 0) and make every
+/// `hang_every`-th op's explain hang up (`hang_every` > 0).
+fn with_faults(mut trace: Trace, panic_pct: u32, hang_every: u64) -> Trace {
+    if panic_pct > 0 {
+        trace.header.faults = Some(format!(
+            "seed={},panic={},torn=0.05",
+            trace.header.seed,
+            f64::from(panic_pct) / 100.0
+        ));
+    }
+    for op in &mut trace.ops {
+        if let TraceOp::Explain { id, hang_up, .. } = op {
+            *hang_up = hang_every > 0 && *id % hang_every == 0;
+        }
+    }
+    trace
+}
+
 fn mix_strategy() -> impl Strategy<Value = QueryMix> {
     (0u32..4, 0u32..4, 0u32..4, 0u32..4).prop_map(|(f, g, j, u)| {
         if f + g + j + u == 0 {
@@ -125,26 +145,34 @@ proptest! {
         mix in mix_strategy(),
         zipf_centi in 0u32..200,
         derived_bit in 0u32..2,
+        panic_pct in 0u32..3,
+        hang_every in 0u64..3,
     ) {
         let derived = derived_bit == 1;
-        let trace = spec(seed, clients, qpc, mix, zipf_centi, derived)
-            .compile()
-            .expect("compilable spec");
+        let compile = |seed| {
+            let trace = spec(seed, clients, qpc, mix, zipf_centi, derived)
+                .compile()
+                .expect("compilable spec");
+            with_faults(trace, panic_pct, hang_every)
+        };
+        let trace = compile(seed);
         let text = trace.to_ndjson();
         let parsed = Trace::parse(&text).expect("own output parses");
         prop_assert_eq!(&parsed, &trace);
-        prop_assert_eq!(parsed.to_ndjson(), text);
+        prop_assert_eq!(parsed.to_ndjson(), text.clone());
+        // The optional keys are written exactly when set.
+        prop_assert_eq!(text.contains("\"faults\""), panic_pct > 0);
+        prop_assert_eq!(text.contains("\"hang_up\""), hang_every > 0);
         // Same spec, same bytes; different seed, different bytes.
-        let again = spec(seed, clients, qpc, mix, zipf_centi, derived)
-            .compile()
-            .unwrap()
-            .to_ndjson();
-        prop_assert_eq!(again, text.clone());
-        let other = spec(seed + 1, clients, qpc, mix, zipf_centi, derived)
-            .compile()
-            .unwrap()
-            .to_ndjson();
-        prop_assert_ne!(other, text);
+        prop_assert_eq!(compile(seed).to_ndjson(), text.clone());
+        prop_assert_ne!(compile(seed + 1).to_ndjson(), text);
+        // The chaos preset (fault plan, deadlines, hang-ups) round-trips
+        // byte for byte too.
+        let chaos = preset("chaos", seed).expect("chaos preset compiles");
+        let chaos_text = chaos.to_ndjson();
+        let reparsed = Trace::parse(&chaos_text).expect("chaos trace parses");
+        prop_assert_eq!(&reparsed, &chaos);
+        prop_assert_eq!(reparsed.to_ndjson(), chaos_text);
     }
 
     /// All-positive mixes with ≥4 scheduled queries cover all four
@@ -183,7 +211,8 @@ proptest! {
         junk in "[ -~]{0,40}",
     ) {
         let mix = QueryMix { filter: 1, group_by: 1, join: 1, union_: 1 };
-        let text = spec(seed, 1, 4, mix, 50, false).compile().unwrap().to_ndjson();
+        let trace = spec(seed, 1, 4, mix, 50, false).compile().unwrap();
+        let text = with_faults(trace, (seed % 3) as u32, seed % 3).to_ndjson();
         let mut cut = cut.min(text.len());
         while !text.is_char_boundary(cut) {
             cut -= 1;
@@ -197,87 +226,131 @@ proptest! {
 // Forward compatibility: the strict-reject behaviors, pinned exactly.
 // ------------------------------------------------------------------
 
-fn valid_trace_text() -> String {
+/// A valid trace, plain or faulted (a fault plan in the header and
+/// `hang_up` on every explain).
+fn valid_trace_text(faulted: bool) -> String {
     let mix = QueryMix {
         filter: 1,
         group_by: 1,
         join: 1,
         union_: 1,
     };
-    spec(7, 2, 4, mix, 50, false).compile().unwrap().to_ndjson()
+    let trace = spec(7, 2, 4, mix, 50, false).compile().unwrap();
+    if faulted {
+        with_faults(trace, 10, 1).to_ndjson()
+    } else {
+        trace.to_ndjson()
+    }
 }
 
 #[test]
 fn future_versions_are_rejected_with_a_typed_error() {
-    let text = valid_trace_text().replace("\"version\":1", "\"version\":2");
-    assert_eq!(
-        Trace::parse(&text),
-        Err(WorkloadError::UnsupportedVersion { found: 2 })
-    );
+    for faulted in [false, true] {
+        let text = valid_trace_text(faulted).replace("\"version\":1", "\"version\":2");
+        assert_eq!(
+            Trace::parse(&text),
+            Err(WorkloadError::UnsupportedVersion { found: 2 })
+        );
+    }
 }
 
 #[test]
 fn unknown_header_fields_are_rejected_not_ignored() {
-    let text =
-        valid_trace_text().replacen("\"clients\":2", "\"clients\":2,\"compression\":\"zstd\"", 1);
-    assert_eq!(
-        Trace::parse(&text),
-        Err(WorkloadError::UnknownHeaderField {
-            field: "compression".into()
-        })
+    for faulted in [false, true] {
+        let text = valid_trace_text(faulted).replacen(
+            "\"clients\":2",
+            "\"clients\":2,\"compression\":\"zstd\"",
+            1,
+        );
+        assert_eq!(
+            Trace::parse(&text),
+            Err(WorkloadError::UnknownHeaderField {
+                field: "compression".into()
+            })
+        );
+    }
+    // A fault spec the fault parser rejects is rejected with the trace.
+    let text = valid_trace_text(true).replacen("panic=0.1", "panic=1.5", 1);
+    assert!(
+        matches!(Trace::parse(&text), Err(WorkloadError::Malformed(ref why)) if why.contains("faults")),
+        "{:?}",
+        Trace::parse(&text)
     );
 }
 
 #[test]
 fn unknown_op_kinds_are_rejected_not_skipped() {
-    let text = format!(
-        "{}\n{{\"op\":\"think_only\",\"id\":99}}\n",
-        valid_trace_text().trim_end()
-    );
-    assert_eq!(
-        Trace::parse(&text),
-        Err(WorkloadError::UnknownOpKind {
-            kind: "think_only".into()
-        })
-    );
+    for faulted in [false, true] {
+        let text = format!(
+            "{}\n{{\"op\":\"think_only\",\"id\":99}}\n",
+            valid_trace_text(faulted).trim_end()
+        );
+        assert_eq!(
+            Trace::parse(&text),
+            Err(WorkloadError::UnknownOpKind {
+                kind: "think_only".into()
+            })
+        );
+    }
+}
+
+/// The lines of a valid trace and the index of its first explain op.
+fn explain_line(faulted: bool) -> (Vec<String>, usize) {
+    let lines: Vec<String> = valid_trace_text(faulted)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let idx = lines
+        .iter()
+        .position(|l| l.contains("\"op\":\"explain\""))
+        .expect("an explain op");
+    (lines, idx)
 }
 
 #[test]
 fn unknown_op_fields_are_rejected_not_dropped() {
     // Mutate an *op line*, not the header (whose opaque generator echo
-    // legitimately contains a "retries" key too).
-    let good = valid_trace_text();
-    let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
-    let idx = lines
-        .iter()
-        .position(|l| l.contains("\"op\":\"explain\""))
-        .expect("an explain op");
-    lines[idx] = lines[idx].replacen("\"retries\":", "\"priority\":9,\"retries\":", 1);
-    assert_eq!(
-        Trace::parse(&lines.join("\n")),
-        Err(WorkloadError::UnknownOpField {
-            op: "explain".into(),
-            field: "priority".into()
-        })
-    );
+    // legitimately contains a "retries" key too). On the faulted trace
+    // the line also carries `hang_up`, which is known.
+    for faulted in [false, true] {
+        let (mut lines, idx) = explain_line(faulted);
+        assert_eq!(lines[idx].contains("\"hang_up\":true"), faulted);
+        lines[idx] = lines[idx].replacen("\"retries\":", "\"priority\":9,\"retries\":", 1);
+        assert_eq!(
+            Trace::parse(&lines.join("\n")),
+            Err(WorkloadError::UnknownOpField {
+                op: "explain".into(),
+                field: "priority".into()
+            })
+        );
+    }
 }
 
 #[test]
 fn missing_required_fields_are_typed() {
     // Strip the sql field (value is a quoted string with no embedded
     // escapes in this fixture-free approach — rebuild the line instead).
-    let good = valid_trace_text();
-    let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
-    let idx = lines
-        .iter()
-        .position(|l| l.contains("\"op\":\"explain\""))
-        .expect("an explain op");
-    lines[idx] = r#"{"op":"explain","id":4,"client":0,"session":"prop","kind":"filter","think_ms":1,"retries":0}"#.to_string();
+    for (faulted, extra) in [(false, ""), (true, r#","hang_up":true"#)] {
+        let (mut lines, idx) = explain_line(faulted);
+        lines[idx] = format!(
+            r#"{{"op":"explain","id":4,"client":0,"session":"prop","kind":"filter","think_ms":1,"retries":0{extra}}}"#
+        );
+        assert_eq!(
+            Trace::parse(&lines.join("\n")),
+            Err(WorkloadError::MissingField {
+                op: "explain".into(),
+                field: "sql".into()
+            })
+        );
+    }
+    // A `hang_up` that is not a bool is typed as that field.
+    let (mut lines, idx) = explain_line(true);
+    lines[idx] = lines[idx].replacen("\"hang_up\":true", "\"hang_up\":1", 1);
     assert_eq!(
         Trace::parse(&lines.join("\n")),
         Err(WorkloadError::MissingField {
             op: "explain".into(),
-            field: "sql".into()
+            field: "hang_up".into()
         })
     );
 }

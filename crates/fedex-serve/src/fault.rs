@@ -2,8 +2,9 @@
 //!
 //! A [`FaultPlan`] makes the server misbehave on purpose — worker panics
 //! mid-explain, artificial stage latency, torn or slowed response writes,
-//! and mid-response disconnects — so the chaos harness (`fedex-bench`'s
-//! `chaos` bin) and `tests/faults.rs` can assert the recovery machinery
+//! and mid-response disconnects — so the workload replayer (a trace whose
+//! header carries a `faults` spec, e.g. `fedex-bench`'s `chaos` preset)
+//! and `tests/faults.rs` can assert the recovery machinery
 //! (panic isolation, deadlines, waiter detachment, typed error codes)
 //! under sustained injected failure instead of hoping production finds
 //! the gaps first.

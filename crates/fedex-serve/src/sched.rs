@@ -128,7 +128,7 @@ pub struct SchedMetrics {
 }
 
 /// One coherent reading of [`SchedMetrics`], shared by the JSON `metrics`
-/// command, the Prometheus exposition, and the chaos harness's
+/// command, the Prometheus exposition, and the workload replay gate's
 /// conservation check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedSnapshot {

@@ -71,7 +71,7 @@ pub struct ServerMetrics {
 }
 
 /// One coherent reading of [`ServerMetrics`], used by the JSON `metrics`
-/// command, the Prometheus exposition, and the chaos harness alike.
+/// command, the Prometheus exposition, and the workload replay gate alike.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerSnapshot {
     /// Requests dispatched (all commands).
@@ -164,8 +164,8 @@ pub struct ExplainService {
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     scheduler: OnceLock<Arc<SchedMetrics>>,
-    /// Active fault-injection plan (chaos harness only; `None` in
-    /// production).
+    /// Active fault-injection plan (faulted workload replays and tests
+    /// only; `None` in production).
     faults: RwLock<Option<Arc<FaultPlan>>>,
     /// Latency histograms, tracing, and the flight recorder. On by
     /// default; `None` only under `--no-obs` (overhead measurement).
