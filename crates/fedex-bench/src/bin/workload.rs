@@ -37,6 +37,24 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Exit with usage on any argument that is not one of a subcommand's
+/// flags (`valued` take the next argument, `switches` stand alone): a
+/// misspelt flag must not silently fall back to its default.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        i += if valued.contains(&arg) {
+            2
+        } else if switches.contains(&arg) {
+            1
+        } else {
+            eprintln!("workload: unknown argument {arg:?}");
+            usage()
+        };
+    }
+}
+
 /// `--flag value` lookup.
 fn opt(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -54,6 +72,7 @@ fn main() {
 }
 
 fn gen(args: &[String]) {
+    check_flags(args, &["--preset", "--seed", "--out"], &[]);
     let seed = opt(args, "--seed")
         .map(|s| s.parse().unwrap_or_else(|_| fail("--seed wants a u64")))
         .unwrap_or(11);
@@ -89,6 +108,11 @@ fn render_report(report: &Json) -> String {
 }
 
 fn run_replay(args: &[String]) {
+    check_flags(
+        args,
+        &["--trace", "--addr", "--workers", "--speed", "--report"],
+        &["--differential"],
+    );
     let path = opt(args, "--trace").unwrap_or_else(|| usage());
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));

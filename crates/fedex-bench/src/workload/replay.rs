@@ -100,9 +100,7 @@ pub(crate) fn metric(m: &Json, path: &[&str]) -> f64 {
 
 /// Jobs still queued or running, per a `metrics` response.
 pub(crate) fn backlog(m: &Json) -> f64 {
-    metric(m, &["scheduler", "queued_control"])
-        + metric(m, &["scheduler", "queued_heavy"])
-        + metric(m, &["scheduler", "running_heavy"])
+    metric(m, &["scheduler", "queued_heavy"]) + metric(m, &["scheduler", "running_heavy"])
 }
 
 /// Outcome of one explain op.
@@ -182,7 +180,7 @@ fn spawn_server(workers: usize) -> Result<ServerHandle, String> {
             Fedex::new().with_execution(ExecutionMode::Serial),
             Arc::new(ArtifactCache::default()),
         ),
-        Some(Arc::new(fedex_obs::Obs::with_recorder_capacity(1 << 17))),
+        Arc::new(fedex_obs::Obs::with_recorder_capacity(1 << 17)),
     ));
     let server = Server::bind(
         &ServerConfig {
@@ -486,9 +484,7 @@ mod tests {
 
     #[test]
     fn metric_walks_nested_paths() {
-        let m =
-            json::parse(r#"{"scheduler":{"queued_heavy":3,"queued_control":1,"running_heavy":0}}"#)
-                .unwrap();
+        let m = json::parse(r#"{"scheduler":{"queued_heavy":3,"running_heavy":1}}"#).unwrap();
         assert_eq!(metric(&m, &["scheduler", "queued_heavy"]), 3.0);
         assert_eq!(backlog(&m), 4.0);
     }

@@ -11,8 +11,7 @@
 //!   histogram counts sum exactly to `fedex_requests_total`);
 //! - a control-probe ping p99 under 10 ms, over at least one sample;
 //! - queues drained to zero, and scheduler counters that conserve
-//!   (`admitted_control + admitted_heavy − completed == 1`, the one
-//!   being the `metrics` request that took the snapshot);
+//!   (`admitted_heavy == completed`: every admitted job completed);
 //! - every `internal_error` incident resolved by `debug_dump`;
 //! - at least one server panic when the trace's fault plan injects them.
 //!
@@ -176,12 +175,11 @@ fn run_violations(trace: &Trace, run: &ReplayRun, violations: &mut Vec<String>) 
     if backlog(m) != 0.0 {
         violations.push("queues failed to drain to zero within 60s (hung work)".into());
     }
-    let deficit = metric(m, &["scheduler", "admitted_control"])
-        + metric(m, &["scheduler", "admitted_heavy"])
-        - metric(m, &["scheduler", "completed"]);
-    if deficit != 1.0 {
+    let admitted = metric(m, &["scheduler", "admitted_heavy"]);
+    let completed = metric(m, &["scheduler", "completed"]);
+    if admitted != completed {
         violations.push(format!(
-            "scheduler counters do not conserve: admitted - completed is {deficit}, want 1"
+            "scheduler counters do not conserve: {admitted} admitted, {completed} completed"
         ));
     }
     if let Some(first) = run.unresolved_incidents.first() {
@@ -365,8 +363,8 @@ mod tests {
     /// A `metrics` response with the given counters; nothing running.
     fn metrics(panics: u64, queued_heavy: u64, admitted_heavy: u64, completed: u64) -> Json {
         json::parse(&format!(
-            r#"{{"server":{{"panics":{panics}}},"scheduler":{{"admitted_control":1,
-            "admitted_heavy":{admitted_heavy},"completed":{completed},"queued_control":0,
+            r#"{{"server":{{"panics":{panics}}},"scheduler":{{
+            "admitted_heavy":{admitted_heavy},"completed":{completed},
             "queued_heavy":{queued_heavy},"running_heavy":0}}}}"#
         ))
         .unwrap()

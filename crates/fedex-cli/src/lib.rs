@@ -65,9 +65,6 @@ pub enum Command {
         exec: ExecutionMode,
         /// Log explains slower than this many ms to stderr (0 = off).
         slow_ms: u64,
-        /// Disable the observability hub (histograms, tracing, flight
-        /// recorder) — for measuring its overhead, not for production.
-        no_obs: bool,
     },
     /// Send one JSON request line to a running server, print the response.
     Client {
@@ -96,7 +93,7 @@ usage:
   fedex serve   [--addr 127.0.0.1:4641] [--workers N] [--cache-mb N]
                 [--queue-depth N] [--session-quota N]
                 [--default-deadline-ms N] [--write-timeout-ms N]
-                [--exec serial|parallel|N] [--slow-ms N] [--no-obs]
+                [--exec serial|parallel|N] [--slow-ms N]
   fedex client  --addr <host:port> --json '<request>'
                 [--retries N] [--retry-budget-ms N]
   fedex help
@@ -165,7 +162,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut cache_mb = 1024usize;
             let mut exec = ExecutionMode::default();
             let mut slow_ms = 0u64;
-            let mut no_obs = false;
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
@@ -210,7 +206,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         i += 1;
                         slow_ms = parsed_flag(args, i, "--slow-ms")?;
                     }
-                    "--no-obs" => no_obs = true,
                     other => return Err(CliError(format!("unknown flag {other:?}"))),
                 }
                 i += 1;
@@ -220,7 +215,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 cache_mb,
                 exec,
                 slow_ms,
-                no_obs,
             })
         }
         "client" => {
@@ -426,7 +420,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_mb,
             exec,
             slow_ms,
-            no_obs,
         } => {
             use std::sync::Arc;
             let cache = Arc::new(fedex_core::ArtifactCache::with_budget(
@@ -434,11 +427,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             ));
             let fedex = Fedex::new().with_execution(exec);
             let manager = fedex_core::SessionManager::new(fedex, cache);
-            let service = Arc::new(if no_obs {
-                fedex_serve::ExplainService::with_obs(manager, None)
-            } else {
-                fedex_serve::ExplainService::new(manager)
-            });
+            let service = Arc::new(fedex_serve::ExplainService::new(manager));
             service.set_slow_explain_ms(slow_ms);
             let server = fedex_serve::Server::bind(&config, service)
                 .map_err(|e| CliError(format!("binding {}: {e}", config.addr)))?;
@@ -626,7 +615,6 @@ mod tests {
             "serial",
             "--slow-ms",
             "250",
-            "--no-obs",
         ]))
         .unwrap();
         assert_eq!(
@@ -644,7 +632,6 @@ mod tests {
                 cache_mb: 64,
                 exec: ExecutionMode::Serial,
                 slow_ms: 250,
-                no_obs: true,
             }
         );
         // Defaults.
@@ -655,7 +642,6 @@ mod tests {
                 cache_mb: 1024,
                 exec: ExecutionMode::default(),
                 slow_ms: 0,
-                no_obs: false,
             }
         );
         assert!(parse_args(&s(&["serve", "--slow-ms", "wat"])).is_err());

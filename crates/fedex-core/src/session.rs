@@ -202,8 +202,8 @@ impl Session {
     /// [`Session::run`] with per-stage wall-clock timings and per-run
     /// configuration grafted onto a clone of the session's explainer — the
     /// serving layer reports the timings, and uses the configuration to
-    /// attach a cancellation token or downgrade one run to
-    /// FEDEX-Sampling without touching the session's base configuration.
+    /// attach a cancellation token and a trace id without touching the
+    /// session's base configuration.
     ///
     /// A step answered from the artifact cache's results reports one
     /// [`RESULTS_STAGE`] stage with a `("results", true)` cache event.
@@ -606,10 +606,9 @@ impl SessionManager {
 
     /// Run one traced step under `cancel`, with per-run configuration
     /// grafted onto the run (see [`Session::run_traced_configured`]) — how
-    /// the serving layer attaches deadlines and downgrades pressured runs
-    /// to FEDEX-Sampling. The token also ends a wait for the session,
-    /// which another run may hold. An unknown session fails as an empty
-    /// one would, and is not created.
+    /// the serving layer attaches deadlines and trace ids. The token also
+    /// ends a wait for the session, which another run may hold. An unknown
+    /// session fails as an empty one would, and is not created.
     pub fn run_traced_configured(
         &self,
         session: &str,

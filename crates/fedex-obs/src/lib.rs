@@ -5,9 +5,9 @@
 //! * [`Histogram`] — lock-free log-linear latency histograms
 //!   (microsecond resolution, ≤12.5% quantile error, mergeable
 //!   [`HistSnapshot`]s);
-//! * [`Obs`] — the per-process hub: one histogram per wire command,
-//!   per queue class (admission wait and service time), and per
-//!   pipeline stage, plus the flight recorder and trace-id minting;
+//! * [`Obs`] — the per-process hub: one histogram per wire command and
+//!   per pipeline stage, the heavy queue's admission wait and service
+//!   time, plus the flight recorder and trace-id minting;
 //! * [`FlightRecorder`] — an always-on bounded ring of recent request
 //!   events, dumpable after the fact to explain an `inc-…` incident id;
 //! * [`prom`] — Prometheus text exposition writer and a validating
@@ -57,8 +57,10 @@ pub const STAGES: &[&str] = &[
     "Results",
 ];
 
-/// Scheduler queue classes.
-pub const CLASSES: &[&str] = &["control", "heavy"];
+/// Scheduler queue classes. Only heavy work (`explain`, `register`,
+/// `register_demo`) queues; every other command is answered on its
+/// connection thread.
+pub const CLASSES: &[&str] = &["heavy"];
 
 /// Index of `cmd` in [`WIRE_COMMANDS`] (`other` when unknown).
 pub fn command_index(cmd: &str) -> usize {
@@ -97,8 +99,8 @@ pub struct TraceCtx {
 #[derive(Debug)]
 pub struct Obs {
     commands: Vec<Histogram>,
-    admission_wait: Vec<Histogram>,
-    service_time: Vec<Histogram>,
+    admission_wait: Histogram,
+    service_time: Histogram,
     stages: Vec<Histogram>,
     recorder: FlightRecorder,
     next_trace: AtomicU64,
@@ -120,8 +122,8 @@ impl Obs {
     pub fn with_recorder_capacity(capacity: usize) -> Self {
         Obs {
             commands: WIRE_COMMANDS.iter().map(|_| Histogram::new()).collect(),
-            admission_wait: CLASSES.iter().map(|_| Histogram::new()).collect(),
-            service_time: CLASSES.iter().map(|_| Histogram::new()).collect(),
+            admission_wait: Histogram::new(),
+            service_time: Histogram::new(),
             stages: STAGES.iter().map(|_| Histogram::new()).collect(),
             recorder: FlightRecorder::with_capacity(capacity),
             next_trace: AtomicU64::new(1),
@@ -146,14 +148,14 @@ impl Obs {
         self.commands[command_index(cmd)].record_duration(d);
     }
 
-    /// Record time spent queued before dispatch, per class.
-    pub fn record_admission_wait(&self, heavy: bool, d: Duration) {
-        self.admission_wait[heavy as usize].record_duration(d);
+    /// Record time a heavy job spent queued before dispatch.
+    pub fn record_admission_wait(&self, d: Duration) {
+        self.admission_wait.record_duration(d);
     }
 
-    /// Record time spent executing after dispatch, per class.
-    pub fn record_service_time(&self, heavy: bool, d: Duration) {
-        self.service_time[heavy as usize].record_duration(d);
+    /// Record time a heavy job spent executing after dispatch.
+    pub fn record_service_time(&self, d: Duration) {
+        self.service_time.record_duration(d);
     }
 
     /// Record one pipeline stage duration (`stage` must be one of
@@ -173,21 +175,19 @@ impl Obs {
             .collect()
     }
 
-    /// Snapshot the admission-wait histograms, labelled by class.
+    /// Snapshot the admission-wait histogram, labelled by class.
     pub fn admission_wait_snapshots(&self) -> Vec<(&'static str, HistSnapshot)> {
         CLASSES
             .iter()
-            .zip(self.admission_wait.iter())
-            .map(|(&name, h)| (name, h.snapshot()))
+            .map(|&name| (name, self.admission_wait.snapshot()))
             .collect()
     }
 
-    /// Snapshot the service-time histograms, labelled by class.
+    /// Snapshot the service-time histogram, labelled by class.
     pub fn service_time_snapshots(&self) -> Vec<(&'static str, HistSnapshot)> {
         CLASSES
             .iter()
-            .zip(self.service_time.iter())
-            .map(|(&name, h)| (name, h.snapshot()))
+            .map(|&name| (name, self.service_time.snapshot()))
             .collect()
     }
 

@@ -16,12 +16,13 @@
 //!   sessions ([`fedex_core::ArtifactCache`], cost-aware eviction), so
 //!   warm explains skip both the encode work and the fingerprint re-scan
 //!   that dominate a cold ScoreColumns stage;
-//! * **admission scheduling** — requests are classified (cheap control
-//!   commands vs. explain-class work) and admitted into bounded priority
-//!   queues with per-session quotas and explicit `overloaded` /
-//!   `quota_exceeded` backpressure ([`sched`]); every admitted request
-//!   is its own job under its own deadline, and a dedicated control
-//!   worker keeps `ping`/`metrics` fast while long explains run;
+//! * **admission scheduling** — heavy work (`explain`, `register`,
+//!   `register_demo`) is admitted into one bounded queue with
+//!   per-session quotas and explicit `overloaded` / `quota_exceeded`
+//!   backpressure ([`sched`]), and every admitted request is its own job
+//!   under its own deadline; control commands (`ping`, `metrics`, …) are
+//!   answered on their connection thread, so they stay fast while long
+//!   explains run;
 //! * **transport** — newline-delimited JSON over TCP (one request object
 //!   per line) with a minimal HTTP/1.1 fallback (`POST /api`,
 //!   `GET /metrics`, `GET /healthz`, `GET /debug/requests`) on the same
@@ -74,6 +75,6 @@ pub mod service;
 pub use client::{Client, RetryPolicy};
 pub use fault::FaultPlan;
 pub use json::{Json, JsonError};
-pub use sched::{RequestClass, SchedMetrics, SchedSnapshot, Scheduler, SchedulerConfig};
+pub use sched::{SchedMetrics, SchedSnapshot, Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use service::{ExplainService, JobContext, ServerMetrics, ServerSnapshot};

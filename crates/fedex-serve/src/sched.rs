@@ -1,36 +1,38 @@
-//! Admission scheduling: classify, enqueue, bound.
+//! Admission scheduling: heavy work queues, everything else answers
+//! inline.
 //!
-//! PR 4's server handed each accepted connection to a fixed worker pool —
-//! a request then occupied its worker for the whole explain, so four long
-//! explains pinned all four workers and a fifth client's `ping` waited
-//! seconds for a slot. The [`Scheduler`] decouples *connections* from
-//! *work*:
+//! Every connection has its own I/O thread (see [`crate::server`]), and
+//! [`Scheduler::handle_line_hooked`] parses each of its request lines
+//! once and takes one of two routes:
 //!
-//! 1. every parsed request is **classified** — cheap control commands
-//!    (`ping`, `metrics`, `history`, `sessions`, `shutdown`, anything
-//!    O(1) over session state) versus **heavy** work (`explain`,
-//!    `register`, `register_demo`: O(rows) scans, encodes, pipeline
-//!    runs);
-//! 2. each class goes into its own bounded FIFO inside one priority
-//!    scheduler: a **dedicated control worker** only ever serves the
-//!    control queue (so control latency is bounded by the cheap commands
-//!    ahead of it, never by an explain), and the `workers` general
-//!    workers drain control work first, then heavy work;
-//! 3. admission is **bounded**, not best-effort: a full heavy queue is
-//!    answered immediately with the typed wire error `overloaded`
-//!    (HTTP clients see the same JSON body), and a session with
-//!    `session_quota` heavy requests already queued or running gets
-//!    `quota_exceeded` — backpressure is explicit, queueing is never
-//!    unbounded;
-//! 4. every admitted request is **its own job** with exactly one waiter:
+//! 1. a command that is not **heavy** (`ping`, `metrics`, `history`,
+//!    `sessions`, `debug_dump`, `shutdown`, anything unknown) is
+//!    dispatched right there, on the connection thread that read it. It
+//!    takes no queue slot and carries no deadline; `max_connections`
+//!    bounds how many run at once, with at most one in flight per
+//!    connection. So no control command waits behind another request:
+//!    `history` waits only for its own session's running step, which
+//!    that step's own deadline bounds;
+//! 2. a **heavy** command (`explain`, `register`, `register_demo`:
+//!    O(rows) scans, encodes, pipeline runs) is admitted into one bounded
+//!    FIFO that the `workers` scheduler workers drain. Admission is
+//!    bounded, not best-effort: a full queue is answered immediately
+//!    with the typed wire error `overloaded` (HTTP clients see the same
+//!    JSON body), and a session with `session_quota` heavy requests
+//!    already queued or running gets `quota_exceeded`;
+//! 3. every admitted request is **its own job** with exactly one waiter:
 //!    it runs under its own deadline token, charges its own quota slot
 //!    and records its own history entry. Identical requests share work
 //!    only through the artifact cache (frames, kernels, partitions,
 //!    results), never by sharing another request's run.
 //!
-//! Connection I/O threads block on their job's completion, so the wire
-//! contract is unchanged: one response line per request line, in order,
-//! per connection.
+//! Both routes contain a panic the same way: the request is answered
+//! with a typed `internal_error` carrying an incident id, and neither a
+//! worker nor a connection thread unwinds.
+//!
+//! A connection thread blocks on its job's completion, so the wire
+//! contract holds: one response line per request line, in order, per
+//! connection.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,34 +45,15 @@ use fedex_core::{CancelToken, ExplainError};
 use crate::json::{self, Json};
 use crate::service::{ExplainService, JobContext};
 
-/// Upper bound of the control queue. Control commands execute in
-/// microseconds, so a backlog this deep signals a client flood, not a slow
-/// server; beyond it the scheduler answers `overloaded` rather than queue
-/// without bound.
-const CONTROL_QUEUE_DEPTH: usize = 1024;
-
 /// How long a waiter sleeps between checks of the shutdown flag. The same
-/// tick the connection reader uses — a graceful stop is observed within
-/// one tick by every blocked thread.
-const SHUTDOWN_TICK: Duration = Duration::from_millis(100);
+/// tick the connection reader and the acceptor's waker use — a graceful
+/// stop is observed within one tick by every blocked thread.
+pub(crate) const SHUTDOWN_TICK: Duration = Duration::from_millis(100);
 
-/// The two admission classes of the wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestClass {
-    /// Cheap, O(1)-over-session-state commands; served from the
-    /// prioritized control queue, never starved behind explains.
-    Control,
-    /// O(rows) work: `explain`, `register`, `register_demo`. Bounded
-    /// queue, per-session quotas.
-    Heavy,
-}
-
-/// Classify a wire command (see the module docs for the rationale).
-pub fn classify(cmd: &str) -> RequestClass {
-    match cmd {
-        "explain" | "register" | "register_demo" => RequestClass::Heavy,
-        _ => RequestClass::Control,
-    }
+/// Is `cmd` heavy work, which the scheduler admits, queues and runs on a
+/// worker? Every other command is answered on its connection thread.
+fn is_heavy(cmd: &str) -> bool {
+    matches!(cmd, "explain" | "register" | "register_demo")
 }
 
 /// Admission knobs, carried by
@@ -100,12 +83,11 @@ impl Default for SchedulerConfig {
 
 /// Scheduler counters, exported under `"scheduler"` by the `metrics`
 /// command. Counter fields are lifetime totals; `*_now` fields are
-/// point-in-time gauges.
+/// point-in-time gauges. Only heavy requests are admitted, so every
+/// field counts heavy work.
 #[derive(Debug, Default)]
 pub struct SchedMetrics {
-    /// Control requests admitted to the control queue.
-    pub admitted_control: AtomicU64,
-    /// Heavy requests admitted to the heavy queue.
+    /// Heavy requests admitted to the queue.
     pub admitted_heavy: AtomicU64,
     /// Requests answered `overloaded` (full queue).
     pub rejected_overloaded: AtomicU64,
@@ -113,14 +95,12 @@ pub struct SchedMetrics {
     pub rejected_quota: AtomicU64,
     /// Jobs fully served (response delivered).
     pub completed: AtomicU64,
-    /// Heavy jobs whose deadline expired (or whose waiter left) before
-    /// a worker picked them up — answered typed, never dispatched.
+    /// Jobs whose deadline expired (or whose waiter left) before a
+    /// worker picked them up — answered typed, never dispatched.
     pub expired: AtomicU64,
     /// Waiters that stopped waiting (deadline or disconnect) before their
     /// job's response was published.
     pub detached: AtomicU64,
-    /// Control jobs queued right now.
-    pub queued_control_now: AtomicU64,
     /// Heavy jobs queued right now.
     pub queued_heavy_now: AtomicU64,
     /// Heavy jobs running right now.
@@ -132,8 +112,6 @@ pub struct SchedMetrics {
 /// conservation check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedSnapshot {
-    /// Control requests admitted.
-    pub admitted_control: u64,
     /// Heavy requests admitted.
     pub admitted_heavy: u64,
     /// `overloaded` rejections.
@@ -146,8 +124,6 @@ pub struct SchedSnapshot {
     pub expired: u64,
     /// Waiters that left early.
     pub detached: u64,
-    /// Control jobs queued right now.
-    pub queued_control_now: u64,
     /// Heavy jobs queued right now.
     pub queued_heavy_now: u64,
     /// Heavy jobs running right now.
@@ -155,31 +131,32 @@ pub struct SchedSnapshot {
 }
 
 impl SchedMetrics {
-    /// Read every counter into one coherent snapshot. Every "effect"
-    /// counter (a completion, an expiry) is incremented *after* its
-    /// "cause" (the admission), so loading effects first — with `SeqCst`
-    /// to pin the load order — guarantees the snapshot never shows
-    /// `completed + expired > admitted`, which independent relaxed reads
-    /// could.
+    /// Read every counter into one coherent snapshot. A job moves through
+    /// `admitted_heavy`, `queued_heavy_now` up, `running_heavy_now` up,
+    /// `queued_heavy_now` down, `completed`, `running_heavy_now` down, in
+    /// that order and all `SeqCst`. Loading in the reverse order — the
+    /// gauges, then the effect counters, then the admissions — means a
+    /// snapshot never shows `completed > admitted`, and one whose gauges
+    /// read zero after admissions stopped counts every admitted job as
+    /// completed.
     pub fn snapshot(&self) -> SchedSnapshot {
+        let queued_heavy_now = self.queued_heavy_now.load(Ordering::SeqCst);
+        let running_heavy_now = self.running_heavy_now.load(Ordering::SeqCst);
         let completed = self.completed.load(Ordering::SeqCst);
         let expired = self.expired.load(Ordering::SeqCst);
         let detached = self.detached.load(Ordering::SeqCst);
         let rejected_overloaded = self.rejected_overloaded.load(Ordering::SeqCst);
         let rejected_quota = self.rejected_quota.load(Ordering::SeqCst);
-        let admitted_control = self.admitted_control.load(Ordering::SeqCst);
         let admitted_heavy = self.admitted_heavy.load(Ordering::SeqCst);
         SchedSnapshot {
-            admitted_control,
             admitted_heavy,
             rejected_overloaded,
             rejected_quota,
             completed,
             expired,
             detached,
-            queued_control_now: self.queued_control_now.load(Ordering::Relaxed),
-            queued_heavy_now: self.queued_heavy_now.load(Ordering::Relaxed),
-            running_heavy_now: self.running_heavy_now.load(Ordering::Relaxed),
+            queued_heavy_now,
+            running_heavy_now,
         }
     }
 
@@ -188,14 +165,12 @@ impl SchedMetrics {
         let m = self.snapshot();
         let n = |v: u64| json::n(v as f64);
         json::obj([
-            ("admitted_control", n(m.admitted_control)),
             ("admitted_heavy", n(m.admitted_heavy)),
             ("rejected_overloaded", n(m.rejected_overloaded)),
             ("rejected_quota", n(m.rejected_quota)),
             ("completed", n(m.completed)),
             ("expired", n(m.expired)),
             ("detached", n(m.detached)),
-            ("queued_control", n(m.queued_control_now)),
             ("queued_heavy", n(m.queued_heavy_now)),
             ("running_heavy", n(m.running_heavy_now)),
         ])
@@ -229,26 +204,24 @@ impl JobState {
 /// One admitted unit of work.
 struct Job {
     req: Json,
-    class: RequestClass,
-    /// Session the job charges its quota to (heavy only).
-    session: Option<String>,
-    /// Trace id minted at admission (0 when observability is off).
+    /// Session the job charges its quota to.
+    session: String,
+    /// Trace id minted at admission.
     trace_id: u64,
-    /// When the job entered its queue — the admission-wait clock.
+    /// When the job entered the queue — the admission-wait clock.
     enqueued: Instant,
     state: Arc<JobState>,
 }
 
 #[derive(Default)]
 struct SchedInner {
-    control: VecDeque<Job>,
-    heavy: VecDeque<Job>,
+    queue: VecDeque<Job>,
     /// Heavy jobs queued + running, per session — the quota denominator.
     per_session: HashMap<String, usize>,
 }
 
-/// The admission scheduler: bounded priority queues between connection
-/// I/O threads and the worker pool. See the module docs for the model.
+/// The admission scheduler: a bounded queue between connection I/O
+/// threads and the worker pool. See the module docs for the model.
 pub struct Scheduler {
     service: Arc<ExplainService>,
     inner: Mutex<SchedInner>,
@@ -277,36 +250,38 @@ impl Scheduler {
         }
     }
 
-    /// Serve one raw request line end to end: parse, admit, wait for a
-    /// worker to execute it, return the response line (without trailing
-    /// newline). This is what connection threads call; it blocks the
-    /// calling I/O thread, never a worker.
+    /// Serve one raw request line end to end and return the response
+    /// line (without trailing newline). This is what connection threads
+    /// call: it answers an inline command itself, and blocks the calling
+    /// thread, never a worker, while a heavy job runs.
     pub fn handle_line(&self, line: &str) -> String {
         self.handle_line_hooked(line, None)
     }
 
     /// [`Scheduler::handle_line`] with a client-liveness probe: while the
-    /// waiter blocks on its job, `is_alive` is polled once per tick, and
-    /// a `false` detaches the waiter and cancels the job — a closed
+    /// waiter blocks on a heavy job, `is_alive` is polled once per tick,
+    /// and a `false` detaches the waiter and cancels the job — a closed
     /// connection must not pin a queue slot or a pipeline run for a
     /// reader that will never arrive.
     pub fn handle_line_hooked(&self, line: &str, is_alive: Option<&dyn Fn() -> bool>) -> String {
-        // Parse errors never reach the queues — answering them is cheaper
-        // than admitting them.
         let Ok(req) = json::parse(line) else {
             return self.service.dispatch_line(line);
         };
+        if !is_heavy(req.get("cmd").and_then(Json::as_str).unwrap_or("")) {
+            let (Ok(response) | Err(response)) =
+                self.dispatch_isolated(&req, &JobContext::default()).0;
+            return response;
+        }
         match self.submit(req) {
             Ok(state) => self.await_response(&state, is_alive),
             Err(rejection) => rejection,
         }
     }
 
-    /// Admit a request: returns the completion slot to wait on, or the
-    /// immediate (typed-error) response for rejected requests.
+    /// Admit a heavy request: returns the completion slot to wait on, or
+    /// the immediate (typed-error) response for rejected requests.
     fn submit(&self, req: Json) -> Result<Arc<JobState>, String> {
         let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("");
-        let class = classify(cmd);
         let session = req
             .get("session")
             .and_then(Json::as_str)
@@ -325,7 +300,8 @@ impl Scheduler {
         };
         // Every request entering admission gets a trace id; rejections
         // and executed jobs both log flight events under it.
-        let trace_id = self.service.obs().map_or(0, |o| o.mint_trace().id);
+        let obs = self.service.obs();
+        let trace_id = obs.mint_trace().id;
 
         let mut inner = self.inner.lock().expect("scheduler");
         // Checked under the queue lock: workers observe the flag under
@@ -341,101 +317,57 @@ impl Scheduler {
                 trace_id,
             ));
         }
-        match class {
-            RequestClass::Control => {
-                if inner.control.len() >= CONTROL_QUEUE_DEPTH {
-                    self.metrics
-                        .rejected_overloaded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(self.reject_counted(
-                        "overloaded",
-                        format!("control queue full ({CONTROL_QUEUE_DEPTH} requests waiting)"),
-                        cmd,
-                        &session,
-                        trace_id,
-                    ));
-                }
-                if let Some(obs) = self.service.obs() {
-                    obs.recorder()
-                        .push(trace_id, "admit", cmd, &session, "control", "", 0);
-                }
-                let state = JobState::new(cancel);
-                inner.control.push_back(Job {
-                    req,
-                    class,
-                    session: None,
-                    trace_id,
-                    enqueued: Instant::now(),
-                    state: state.clone(),
-                });
-                self.metrics
-                    .admitted_control
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .queued_control_now
-                    .fetch_add(1, Ordering::Relaxed);
-                self.work.notify_all();
-                Ok(state)
-            }
-            RequestClass::Heavy => {
-                let in_session = inner.per_session.get(&session).copied().unwrap_or(0);
-                if in_session >= self.config.session_quota {
-                    self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                    return Err(self.reject_counted(
-                        "quota_exceeded",
-                        format!(
-                            "session {session:?} already has {in_session} heavy requests \
-                             queued or running (quota {})",
-                            self.config.session_quota
-                        ),
-                        cmd,
-                        &session,
-                        trace_id,
-                    ));
-                }
-                if inner.heavy.len() >= self.config.queue_depth {
-                    self.metrics
-                        .rejected_overloaded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(self.reject_counted(
-                        "overloaded",
-                        format!(
-                            "explain queue full ({} requests waiting, depth {})",
-                            inner.heavy.len(),
-                            self.config.queue_depth
-                        ),
-                        cmd,
-                        &session,
-                        trace_id,
-                    ));
-                }
-                if let Some(obs) = self.service.obs() {
-                    obs.recorder()
-                        .push(trace_id, "admit", cmd, &session, "heavy", "", 0);
-                }
-                let state = JobState::new(cancel);
-                *inner.per_session.entry(session.clone()).or_insert(0) += 1;
-                inner.heavy.push_back(Job {
-                    req,
-                    class,
-                    session: Some(session),
-                    trace_id,
-                    enqueued: Instant::now(),
-                    state: state.clone(),
-                });
-                self.metrics.admitted_heavy.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .queued_heavy_now
-                    .fetch_add(1, Ordering::Relaxed);
-                self.work.notify_all();
-                Ok(state)
-            }
+        let in_session = inner.per_session.get(&session).copied().unwrap_or(0);
+        if in_session >= self.config.session_quota {
+            self.metrics.rejected_quota.fetch_add(1, Ordering::Relaxed);
+            return Err(self.reject_counted(
+                "quota_exceeded",
+                format!(
+                    "session {session:?} already has {in_session} heavy requests \
+                     queued or running (quota {})",
+                    self.config.session_quota
+                ),
+                cmd,
+                &session,
+                trace_id,
+            ));
         }
+        if inner.queue.len() >= self.config.queue_depth {
+            self.metrics
+                .rejected_overloaded
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(self.reject_counted(
+                "overloaded",
+                format!(
+                    "explain queue full ({} requests waiting, depth {})",
+                    inner.queue.len(),
+                    self.config.queue_depth
+                ),
+                cmd,
+                &session,
+                trace_id,
+            ));
+        }
+        obs.recorder()
+            .push(trace_id, "admit", cmd, &session, "heavy", "", 0);
+        let state = JobState::new(cancel);
+        *inner.per_session.entry(session.clone()).or_insert(0) += 1;
+        inner.queue.push_back(Job {
+            req,
+            session,
+            trace_id,
+            enqueued: Instant::now(),
+            state: state.clone(),
+        });
+        self.metrics.admitted_heavy.fetch_add(1, Ordering::SeqCst);
+        self.metrics.queued_heavy_now.fetch_add(1, Ordering::SeqCst);
+        self.work.notify_all();
+        Ok(state)
     }
 
     /// Block until the job completes, the deadline passes, or the client
-    /// hangs up. Admission is the commitment point: workers drain both
-    /// queues *before* exiting on shutdown, and `submit` observes the
+    /// hangs up. Admission is the commitment point: workers drain the
+    /// queue *before* exiting on shutdown, and `submit` observes the
     /// shutdown flag under the same lock workers do, so every admitted
     /// job is eventually executed — but a waiter doesn't have to stay for
     /// it. Deadline expiry and client death *detach* the waiter (counted,
@@ -508,40 +440,29 @@ impl Scheduler {
         let server = self.service.metrics();
         server.requests.fetch_add(1, Ordering::Relaxed);
         server.errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = self.service.obs() {
-            obs.record_command(cmd, Duration::ZERO);
-            obs.recorder()
-                .push(trace_id, "reject", cmd, session, code, "", 0);
-        }
+        let obs = self.service.obs();
+        obs.record_command(cmd, Duration::ZERO);
+        obs.recorder()
+            .push(trace_id, "reject", cmd, session, code, "", 0);
         reject(code, message)
     }
 
-    /// Worker loop. `control_only` is the dedicated control worker that
-    /// guarantees cheap commands are served while every general worker is
-    /// busy with explains. Returns on shutdown — but only after its
-    /// queues are empty (the pops precede the flag check), which is what
-    /// lets `await_response` rely on every admitted job completing.
-    pub fn worker_loop(&self, control_only: bool) {
+    /// Worker loop. Returns on shutdown — but only after the queue is
+    /// empty (the pop precedes the flag check), which is what lets
+    /// `await_response` rely on every admitted job completing.
+    pub fn worker_loop(&self) {
         loop {
             let job = {
                 let mut inner = self.inner.lock().expect("scheduler");
                 loop {
-                    if let Some(job) = inner.control.pop_front() {
+                    if let Some(job) = inner.queue.pop_front() {
+                        // Running before no longer queued, so a snapshot
+                        // never sees the job in neither gauge.
                         self.metrics
-                            .queued_control_now
-                            .fetch_sub(1, Ordering::Relaxed);
+                            .running_heavy_now
+                            .fetch_add(1, Ordering::SeqCst);
+                        self.metrics.queued_heavy_now.fetch_sub(1, Ordering::SeqCst);
                         break Some(job);
-                    }
-                    if !control_only {
-                        if let Some(job) = inner.heavy.pop_front() {
-                            self.metrics
-                                .queued_heavy_now
-                                .fetch_sub(1, Ordering::Relaxed);
-                            self.metrics
-                                .running_heavy_now
-                                .fetch_add(1, Ordering::Relaxed);
-                            break Some(job);
-                        }
                     }
                     if self.service.shutdown_requested() {
                         break None;
@@ -560,43 +481,36 @@ impl Scheduler {
 
     /// Run one admitted job and publish its response to its waiter.
     ///
-    /// Heavy jobs run under three layers of protection: already-expired
-    /// or abandoned jobs are answered typed without burning a worker;
-    /// live jobs carry their cancel token into the pipeline; and the
-    /// whole dispatch runs under `catch_unwind`, so a panicking explain
-    /// yields a typed `internal_error` (with a stable incident id)
-    /// instead of killing the worker and leaking its queue slot. Control
-    /// jobs always execute — they're cheap, and `shutdown` must never be
-    /// skipped.
+    /// A job runs under three layers of protection: one already expired
+    /// or abandoned is answered typed without burning a worker; a live
+    /// one carries its cancel token into the pipeline; and the dispatch
+    /// runs under [`Scheduler::dispatch_isolated`], so a panicking
+    /// explain yields a typed `internal_error` instead of killing the
+    /// worker and leaking its queue slot.
     fn execute(&self, job: Job) {
         let cmd = job.req.get("cmd").and_then(Json::as_str).unwrap_or("other");
-        let session = job.session.as_deref().unwrap_or("");
-        let heavy = job.class == RequestClass::Heavy;
+        let session = job.session.as_str();
         let wait = job.enqueued.elapsed();
-        if let Some(obs) = self.service.obs() {
-            obs.record_admission_wait(heavy, wait);
-        }
-        let expired = heavy.then(|| job.state.cancel.check().err()).flatten();
-        let response = match expired {
-            Some(e) => {
+        let obs = self.service.obs();
+        obs.record_admission_wait(wait);
+        let response = match job.state.cancel.check() {
+            Err(e) => {
                 self.metrics.expired.fetch_add(1, Ordering::Relaxed);
                 let server = self.service.metrics();
                 server.requests.fetch_add(1, Ordering::Relaxed);
                 server.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.service.obs() {
-                    // Counted as a request without reaching dispatch, so
-                    // the command histogram observation lands here.
-                    obs.record_command(cmd, Duration::ZERO);
-                    obs.recorder().push(
-                        job.trace_id,
-                        "expired",
-                        cmd,
-                        session,
-                        "",
-                        "",
-                        wait.as_micros() as u64,
-                    );
-                }
+                // Counted as a request without reaching dispatch, so the
+                // command histogram observation lands here.
+                obs.record_command(cmd, Duration::ZERO);
+                obs.recorder().push(
+                    job.trace_id,
+                    "expired",
+                    cmd,
+                    session,
+                    "",
+                    "",
+                    wait.as_micros() as u64,
+                );
                 match e {
                     ExplainError::Cancelled => {
                         server.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -611,97 +525,110 @@ impl Scheduler {
                     }
                 }
             }
-            None => {
+            Ok(()) => {
                 let jctx = JobContext {
-                    cancel: heavy.then(|| job.state.cancel.clone()),
-                    trace_id: (job.trace_id != 0).then_some(job.trace_id),
+                    cancel: Some(job.state.cancel.clone()),
+                    trace_id: Some(job.trace_id),
                     queue_wait_micros: Some(wait.as_micros() as u64),
                 };
-                if let Some(obs) = self.service.obs() {
-                    obs.recorder()
-                        .push(job.trace_id, "dispatch", cmd, session, "", "", 0);
+                obs.recorder()
+                    .push(job.trace_id, "dispatch", cmd, session, "", "", 0);
+                let (run, served) = self.dispatch_isolated(&job.req, &jctx);
+                obs.record_service_time(served);
+                if run.is_ok() {
+                    obs.recorder().push(
+                        job.trace_id,
+                        "finish",
+                        cmd,
+                        session,
+                        "",
+                        "",
+                        served.as_micros() as u64,
+                    );
                 }
-                let t0 = Instant::now();
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    self.service.dispatch_job(&job.req, &jctx).encode()
-                }));
-                let served = t0.elapsed();
-                if let Some(obs) = self.service.obs() {
-                    obs.record_service_time(heavy, served);
-                }
-                match run {
-                    Ok(response) => {
-                        if let Some(obs) = self.service.obs() {
-                            obs.recorder().push(
-                                job.trace_id,
-                                "finish",
-                                cmd,
-                                session,
-                                "",
-                                "",
-                                served.as_micros() as u64,
-                            );
-                        }
-                        response
-                    }
-                    Err(_) => {
-                        let incident =
-                            format!("inc-{:08x}", self.incidents.fetch_add(1, Ordering::Relaxed));
-                        let server = self.service.metrics();
-                        // `dispatch_job` counted the request before the
-                        // panic; only the error needs charging here —
-                        // plus the command histogram observation the
-                        // unwind skipped.
-                        server.panics.fetch_add(1, Ordering::Relaxed);
-                        server.errors.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = self.service.obs() {
-                            obs.record_command(cmd, served);
-                            obs.recorder().push(
-                                job.trace_id,
-                                "error",
-                                cmd,
-                                session,
-                                "panic",
-                                &incident,
-                                served.as_micros() as u64,
-                            );
-                        }
-                        eprintln!(
-                            "fedex-serve: worker caught a panic serving {:?} (incident {incident})",
-                            job.req.get("cmd").and_then(Json::as_str).unwrap_or("?"),
-                        );
-                        json::obj([
-                            ("ok", Json::Bool(false)),
-                            ("code", json::s("internal_error")),
-                            (
-                                "error",
-                                json::s(format!(
-                                    "request panicked; server state recovered (incident {incident})"
-                                )),
-                            ),
-                            ("incident", json::s(incident)),
-                        ])
-                        .to_string()
-                    }
-                }
+                let (Ok(response) | Err(response)) = run;
+                response
             }
         };
         job.state.complete(response);
-        if job.class == RequestClass::Heavy {
+        {
             let mut inner = self.inner.lock().expect("scheduler");
-            if let Some(session) = &job.session {
-                if let Some(n) = inner.per_session.get_mut(session) {
-                    *n -= 1;
-                    if *n == 0 {
-                        inner.per_session.remove(session);
-                    }
+            if let Some(n) = inner.per_session.get_mut(session) {
+                *n -= 1;
+                if *n == 0 {
+                    inner.per_session.remove(session);
                 }
             }
-            self.metrics
-                .running_heavy_now
-                .fetch_sub(1, Ordering::Relaxed);
         }
-        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        // Completed before no longer running: see `SchedMetrics::snapshot`.
+        self.metrics.completed.fetch_add(1, Ordering::SeqCst);
+        self.metrics
+            .running_heavy_now
+            .fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Dispatch `req` and encode the reply, containing a panic: the
+    /// caller gets `Err` with a typed `internal_error` reply carrying a
+    /// stable incident id instead of an unwind. Both routes of
+    /// [`Scheduler::handle_line_hooked`] come through here, so a panic
+    /// unwinds neither a worker nor a connection thread (a panicked
+    /// scoped thread would make `Server::run` panic again when its
+    /// scope joins). Also returns how long the dispatch took.
+    fn dispatch_isolated(
+        &self,
+        req: &Json,
+        jctx: &JobContext,
+    ) -> (Result<String, String>, Duration) {
+        let t0 = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            self.service.dispatch_job(req, jctx).encode()
+        }));
+        let served = t0.elapsed();
+        let run = run.map_err(|_| self.contain_panic(req, jctx.trace_id.unwrap_or(0), served));
+        (run, served)
+    }
+
+    /// The panic arm of [`Scheduler::dispatch_isolated`]: mint the
+    /// incident id, charge the `panics` and `errors` counters and the
+    /// command histogram, log the recorder's `error` event, and build the
+    /// typed `internal_error` reply.
+    fn contain_panic(&self, req: &Json, trace_id: u64, served: Duration) -> String {
+        let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("other");
+        let session = req
+            .get("session")
+            .and_then(Json::as_str)
+            .unwrap_or("default");
+        let incident = format!("inc-{:08x}", self.incidents.fetch_add(1, Ordering::Relaxed));
+        let server = self.service.metrics();
+        // `dispatch_job` counted the request before the panic; only the
+        // error needs charging here — plus the command histogram
+        // observation the unwind skipped.
+        server.panics.fetch_add(1, Ordering::Relaxed);
+        server.errors.fetch_add(1, Ordering::Relaxed);
+        let obs = self.service.obs();
+        obs.record_command(cmd, served);
+        obs.recorder().push(
+            trace_id,
+            "error",
+            cmd,
+            session,
+            "panic",
+            &incident,
+            served.as_micros() as u64,
+        );
+        eprintln!("fedex-serve: caught a panic serving {cmd:?} (incident {incident})");
+        json::obj([
+            ("ok", Json::Bool(false)),
+            ("code", json::s("internal_error")),
+            (
+                "error",
+                json::s(format!(
+                    "request panicked; server state recovered (incident {incident})"
+                )),
+            ),
+            ("incident", json::s(incident)),
+        ])
+        .to_string()
     }
 }
 
@@ -722,32 +649,28 @@ mod tests {
     #[test]
     fn classification() {
         for cmd in ["explain", "register", "register_demo"] {
-            assert_eq!(classify(cmd), RequestClass::Heavy, "{cmd}");
+            assert!(is_heavy(cmd), "{cmd}");
         }
         for cmd in ["ping", "metrics", "history", "sessions", "shutdown", "wat"] {
-            assert_eq!(classify(cmd), RequestClass::Control, "{cmd}");
+            assert!(!is_heavy(cmd), "{cmd}");
         }
     }
 
     #[test]
     fn snapshots_never_tear_under_concurrent_updates() {
-        // Writers increment the cause (`admitted_*`) strictly before the
-        // effect (`completed`); a coherent snapshot must therefore never
-        // show `completed > admitted_control + admitted_heavy`, no matter
-        // when it lands relative to the writers.
+        // Writers increment the cause (`admitted_heavy`) strictly before
+        // the effect (`completed`); a coherent snapshot must therefore
+        // never show `completed > admitted_heavy`, no matter when it lands
+        // relative to the writers.
         let m = Arc::new(SchedMetrics::default());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writers: Vec<_> = (0..2)
-            .map(|i| {
+            .map(|_| {
                 let m = m.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        if i == 0 {
-                            m.admitted_control.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            m.admitted_heavy.fetch_add(1, Ordering::Relaxed);
-                        }
+                        m.admitted_heavy.fetch_add(1, Ordering::Relaxed);
                         m.completed.fetch_add(1, Ordering::Relaxed);
                     }
                 })
@@ -756,10 +679,10 @@ mod tests {
         for _ in 0..20_000 {
             let s = m.snapshot();
             assert!(
-                s.completed <= s.admitted_control + s.admitted_heavy,
+                s.completed <= s.admitted_heavy,
                 "torn snapshot: completed {} > admitted {}",
                 s.completed,
-                s.admitted_control + s.admitted_heavy
+                s.admitted_heavy
             );
         }
         stop.store(true, Ordering::Relaxed);

@@ -11,15 +11,14 @@
 //!
 //! Concurrency is **admission-scheduled** (see [`crate::sched`]): each
 //! accepted connection gets a lightweight I/O thread that reads lines,
-//! submits them to the shared [`Scheduler`], and writes the responses
-//! back in order. The actual work runs on a fixed worker pool behind two
-//! bounded priority queues — cheap control commands are never starved
-//! behind long explains (a dedicated control worker guarantees this even
-//! when every general worker is busy), a full explain queue is answered
-//! with the typed `overloaded` error instead of queueing without bound,
-//! and every request runs as its own job under its own deadline.
-//! `GET /healthz` bypasses the queues entirely so liveness probes stay
-//! meaningful under overload.
+//! hands them to the shared [`Scheduler`], and writes the responses back
+//! in order. Control commands (`ping`, `metrics`, `history`, …, and
+//! `GET /healthz`, `GET /debug/requests`) are answered on that I/O thread
+//! itself, so they never wait behind an explain. Heavy work runs on a
+//! fixed pool of `workers` scheduler workers behind one bounded queue: a
+//! full queue is answered with the typed `overloaded` error instead of
+//! queueing without bound, and every heavy request runs as its own job
+//! under its own deadline.
 //!
 //! Session state lives in the shared [`ExplainService`]; the artifact
 //! cache underneath makes concurrent explains over the same registered
@@ -27,13 +26,13 @@
 //! byte-identical.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::json::{self, Json};
-use crate::sched::{Scheduler, SchedulerConfig};
+use crate::sched::{Scheduler, SchedulerConfig, SHUTDOWN_TICK};
 use crate::service::ExplainService;
 
 /// Serving knobs.
@@ -41,8 +40,9 @@ use crate::service::ExplainService;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:4641` (port 0 = ephemeral).
     pub addr: String,
-    /// General scheduler workers (run both control and heavy jobs). One
-    /// extra dedicated control worker is always spawned on top.
+    /// Scheduler workers, which run the heavy jobs (`explain`,
+    /// `register`, `register_demo`). Control commands need none: each is
+    /// answered on its connection's I/O thread.
     pub workers: usize,
     /// Bound of the heavy (explain/register) queue; a full queue answers
     /// the typed `overloaded` error (CLI: `--queue-depth`).
@@ -115,66 +115,31 @@ impl Server {
     /// calling thread; scheduler workers and connection I/O threads are
     /// joined before returning.
     pub fn run(self) -> std::io::Result<()> {
-        // Non-blocking accept so the loop can observe the shutdown flag
-        // (a `shutdown` request is served by a worker, not the acceptor).
-        self.listener.set_nonblocking(true)?;
+        let wake_addr = loopback_if_unspecified(self.listener.local_addr()?);
         let scheduler = Scheduler::new(self.service.clone(), self.sched_config);
-        let active_connections = std::sync::atomic::AtomicUsize::new(0);
+        let active_connections = AtomicUsize::new(0);
+        let accepting = AtomicBool::new(true);
         std::thread::scope(|scope| {
-            // The dedicated control worker + the general pool.
-            scope.spawn(|| scheduler.worker_loop(true));
             for _ in 0..self.workers {
-                scope.spawn(|| scheduler.worker_loop(false));
+                scope.spawn(|| scheduler.worker_loop());
             }
-            loop {
-                if self.service.shutdown_requested() {
-                    break;
+            // `accept` blocks, so once the shutdown flag is up this waker
+            // connects to the listener itself: the accept loop checks the
+            // flag after every accept. It retries each tick until a
+            // connect lands or the accept loop has left on its own.
+            scope.spawn(|| {
+                while accepting.load(Ordering::Acquire) {
+                    std::thread::sleep(SHUTDOWN_TICK);
+                    if self.service.shutdown_requested()
+                        && TcpStream::connect_timeout(&wake_addr, SHUTDOWN_TICK).is_ok()
+                    {
+                        break;
+                    }
                 }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // BSD-derived platforms (macOS included) hand out
-                        // accepted sockets that inherit the listener's
-                        // non-blocking flag; reset it so connection reads
-                        // block on their timeout instead of spinning.
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        // Response lines are small; Nagle + the client's
-                        // delayed ACK would add ~40ms to every reply.
-                        let _ = stream.set_nodelay(true);
-                        // Bound the I/O-thread population: past the cap,
-                        // answer one typed error line and close instead
-                        // of spawning (a flood of idle keep-alive
-                        // connections would otherwise grow threads
-                        // without bound — the queues only bound *work*).
-                        if active_connections.load(Ordering::Acquire) >= self.max_connections {
-                            refuse_connection(stream, self.max_connections, self.write_timeout);
-                            continue;
-                        }
-                        active_connections.fetch_add(1, Ordering::AcqRel);
-                        self.service
-                            .metrics()
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        // One lightweight I/O thread per connection: it
-                        // only parses lines, waits on the scheduler, and
-                        // writes responses — explains no longer pin it to
-                        // a worker-pool slot. Exits on client EOF, idle
-                        // keep-alive expiry, or shutdown (within one
-                        // read-timeout tick), so the scope join below is
-                        // bounded.
-                        let scheduler = &scheduler;
-                        let service = &*self.service;
-                        let active_connections = &active_connections;
-                        let write_timeout = self.write_timeout;
-                        scope.spawn(move || {
-                            let _ = serve_connection(stream, scheduler, service, write_timeout);
-                            active_connections.fetch_sub(1, Ordering::AcqRel);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+            });
+            let accepted = loop {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _)) => stream,
                     Err(e) => {
                         // A dead listener (fd exhaustion, interface gone)
                         // must not wedge the process: raise the shutdown
@@ -182,11 +147,45 @@ impl Server {
                         // the scope join below terminates, then surface
                         // the error to the caller.
                         self.service.request_shutdown();
-                        return Err(e);
+                        break Err(e);
                     }
+                };
+                if self.service.shutdown_requested() {
+                    break Ok(());
                 }
-            }
-            Ok(())
+                // Response lines are small; Nagle + the client's delayed
+                // ACK would add ~40ms to every reply.
+                let _ = stream.set_nodelay(true);
+                // Bound the I/O-thread population: past the cap, answer
+                // one typed error line and close instead of spawning (a
+                // flood of idle keep-alive connections would otherwise
+                // grow threads without bound — the queue only bounds
+                // *work*).
+                if active_connections.load(Ordering::Acquire) >= self.max_connections {
+                    refuse_connection(stream, self.max_connections, self.write_timeout);
+                    continue;
+                }
+                active_connections.fetch_add(1, Ordering::AcqRel);
+                self.service
+                    .metrics()
+                    .connections
+                    .fetch_add(1, Ordering::Relaxed);
+                // One lightweight I/O thread per connection: it parses
+                // lines, answers control commands, waits on the scheduler
+                // for heavy ones, and writes responses. Exits on client
+                // EOF, idle keep-alive expiry, or shutdown (within one
+                // read-timeout tick), so the scope join below is bounded.
+                let scheduler = &scheduler;
+                let service = &*self.service;
+                let active_connections = &active_connections;
+                let write_timeout = self.write_timeout;
+                scope.spawn(move || {
+                    let _ = serve_connection(stream, scheduler, service, write_timeout);
+                    active_connections.fetch_sub(1, Ordering::AcqRel);
+                });
+            };
+            accepting.store(false, Ordering::Release);
+            accepted
         })
     }
 
@@ -249,16 +248,19 @@ fn refuse_connection(mut stream: TcpStream, cap: usize, write_timeout: Duration)
     let _ = stream.write_all(b"\n");
 }
 
-/// Serve one connection in whichever protocol its first line speaks.
-/// Is this NDJSON line the health probe? Parsed properly (clients are
-/// free to format the object however they like); control lines are tiny,
-/// so the extra parse costs nothing next to the socket round-trip.
-fn is_ping(line: &str) -> bool {
-    json::parse(line)
-        .map(|r| r.get("cmd").and_then(Json::as_str) == Some("ping"))
-        .unwrap_or(false)
+/// Where the acceptor's waker connects: the bound address, over loopback
+/// when the bound IP is unspecified (`0.0.0.0`, `::`).
+fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
+/// Serve one connection in whichever protocol its first line speaks.
 fn serve_connection(
     stream: TcpStream,
     scheduler: &Scheduler,
@@ -269,7 +271,7 @@ fn serve_connection(
     // regularly to observe a server shutdown, so idle keep-alive
     // connections can never outlive `shutdown` (they would otherwise
     // deadlock a graceful stop).
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_read_timeout(Some(SHUTDOWN_TICK))?;
     // A peer that stops reading can stall a response write for at most
     // this long before the I/O thread frees itself (typed as a
     // disconnect below).
@@ -311,7 +313,7 @@ fn serve_connection(
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
             ),
         };
-        let _ = probe.set_read_timeout(Some(Duration::from_millis(100)));
+        let _ = probe.set_read_timeout(Some(SHUTDOWN_TICK));
         alive
     };
     // NDJSON: the first line is already a request; keep reading lines.
@@ -319,15 +321,7 @@ fn serve_connection(
     let mut buf = Vec::new();
     loop {
         let trimmed = line.trim_end_matches(['\r', '\n']);
-        // Health probes answer from the connection thread itself, like
-        // `GET /healthz`: a ping measures transport liveness, and routing
-        // it through the scheduler adds two thread hops whose wakeup
-        // latency dominates the probe on loaded (or single-core) hosts.
-        let response = if is_ping(trimmed) {
-            service.dispatch_line(trimmed)
-        } else {
-            scheduler.handle_line_hooked(trimmed, Some(&is_alive))
-        };
+        let response = scheduler.handle_line_hooked(trimmed, Some(&is_alive));
         // One write per response (see `Client::request_raw`), straight
         // from the reply's own buffer.
         let mut out = response.into_bytes();
@@ -501,12 +495,10 @@ fn http_request_line(line: &str) -> Option<(String, String)> {
 }
 
 /// Minimal HTTP/1.1: headers, optional Content-Length body, one response,
-/// close. `POST /api` and `GET /metrics` (JSON form) go through the
-/// admission scheduler like NDJSON requests; `GET /healthz`,
-/// `GET /debug/requests`, and the Prometheus form of `GET /metrics`
-/// (selected by an `Accept` header containing `text/plain`) bypass it —
-/// monitoring and post-incident debugging must answer even when the
-/// queues are saturated.
+/// close. Every route but the Prometheus scrape goes through the
+/// scheduler like an NDJSON line, so `GET /healthz`, `GET /debug/requests`
+/// and the JSON form of `GET /metrics` are answered on this thread: they
+/// answer even when the heavy queue is full.
 fn serve_http(
     mut reader: BufReader<TcpStream>,
     mut writer: TcpStream,
@@ -558,10 +550,9 @@ fn serve_http(
     const PROM_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
     let (status, content_type, payload) = match (method.as_str(), path.as_str()) {
         ("POST", "/api") => ("200 OK", JSON_TYPE, scheduler.handle_line(body.trim())),
-        // Prometheus scrapes are served from the I/O thread directly:
-        // they must work while the queues are full, and a direct scrape
-        // does not bump `requests`, keeping the per-command histogram
-        // counts exactly equal to the request count in serial smokes.
+        // Prometheus scrapes bypass dispatch: a direct scrape does not
+        // bump `requests`, keeping the per-command histogram counts
+        // exactly equal to the request count in serial smokes.
         ("GET", "/metrics") if accept.contains("text/plain") => {
             ("200 OK", PROM_TYPE, service.metrics_prometheus())
         }
@@ -573,14 +564,12 @@ fn serve_http(
         ("GET", "/healthz") => (
             "200 OK",
             JSON_TYPE,
-            service.dispatch_line(r#"{"cmd":"ping"}"#),
+            scheduler.handle_line(r#"{"cmd":"ping"}"#),
         ),
-        // The flight-recorder dump answers even under overload — it
-        // exists to debug exactly those episodes.
         ("GET", "/debug/requests") => (
             "200 OK",
             JSON_TYPE,
-            service.dispatch_line(r#"{"cmd":"debug_dump"}"#),
+            scheduler.handle_line(r#"{"cmd":"debug_dump"}"#),
         ),
         _ => (
             "404 Not Found",

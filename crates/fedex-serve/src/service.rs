@@ -167,9 +167,8 @@ pub struct ExplainService {
     /// Active fault-injection plan (faulted workload replays and tests
     /// only; `None` in production).
     faults: RwLock<Option<Arc<FaultPlan>>>,
-    /// Latency histograms, tracing, and the flight recorder. On by
-    /// default; `None` only under `--no-obs` (overhead measurement).
-    obs: Option<Arc<Obs>>,
+    /// Latency histograms, tracing, and the flight recorder.
+    obs: Arc<Obs>,
     /// Slow-explain log threshold in milliseconds (0 = off): explains
     /// slower than this print their trace id + stage breakdown to
     /// stderr.
@@ -361,16 +360,14 @@ fn parse_column(spec: &Json) -> Result<Column, String> {
 
 impl ExplainService {
     /// A service over an existing manager (shared cache, config), with
-    /// observability on.
+    /// a default observability hub.
     pub fn new(manager: SessionManager) -> Self {
-        ExplainService::with_obs(manager, Some(Arc::new(Obs::new())))
+        ExplainService::with_obs(manager, Arc::new(Obs::new()))
     }
 
-    /// [`ExplainService::new`] with an explicit observability hub —
-    /// `None` disables histograms, tracing, and the flight recorder
-    /// (used by `fedex serve --no-obs` to measure instrumentation
-    /// overhead).
-    pub fn with_obs(manager: SessionManager, obs: Option<Arc<Obs>>) -> Self {
+    /// [`ExplainService::new`] with an explicit observability hub, e.g.
+    /// one whose flight recorder holds more events.
+    pub fn with_obs(manager: SessionManager, obs: Arc<Obs>) -> Self {
         ExplainService {
             manager,
             metrics: ServerMetrics::default(),
@@ -382,9 +379,9 @@ impl ExplainService {
         }
     }
 
-    /// The observability hub, if enabled.
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
+    /// The observability hub.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Set the slow-explain log threshold (milliseconds; 0 disables).
@@ -455,10 +452,8 @@ impl ExplainService {
         if response.get("ok") == Some(&Json::Bool(false)) {
             self.metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(obs) = &self.obs {
-            let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("other");
-            obs.record_command(cmd, t0.elapsed());
-        }
+        let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("other");
+        self.obs.record_command(cmd, t0.elapsed());
         response
     }
 
@@ -470,11 +465,9 @@ impl ExplainService {
             Err(e) => {
                 self.metrics.requests.fetch_add(1, Ordering::Relaxed);
                 self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &self.obs {
-                    // Unparseable lines count as requests, so they must
-                    // also count as an `other` command observation.
-                    obs.record_command("other", std::time::Duration::ZERO);
-                }
+                // Unparseable lines count as requests, so they must also
+                // count as an `other` command observation.
+                self.obs.record_command("other", std::time::Duration::ZERO);
                 err("invalid_json", format!("invalid JSON: {e}"))
             }
         };
@@ -514,16 +507,15 @@ impl ExplainService {
                 if let Some(sched) = self.scheduler.get() {
                     fields.push(("scheduler", sched.to_json()));
                 }
-                if let Some(obs) = &self.obs {
-                    fields.push(("latency", latency_json(obs)));
-                    fields.push((
-                        "flight_recorder",
-                        obj([
-                            ("capacity", n(obs.recorder().capacity() as f64)),
-                            ("recorded", n(obs.recorder().recorded() as f64)),
-                        ]),
-                    ));
-                }
+                let rec = self.obs.recorder();
+                fields.push(("latency", latency_json(&self.obs)));
+                fields.push((
+                    "flight_recorder",
+                    obj([
+                        ("capacity", n(rec.capacity() as f64)),
+                        ("recorded", n(rec.recorded() as f64)),
+                    ]),
+                ));
                 ok(fields)
             }
             "debug_dump" => self.debug_dump(req),
@@ -645,12 +637,9 @@ impl ExplainService {
         let faults = self.faults();
         let cancel = job.cancel.clone();
         // Scheduler-admitted jobs arrive with a trace id minted at
-        // admission; direct dispatches (tests, CLI, inline control
-        // commands) mint one lazily so traced explains always carry a
-        // stable id.
-        let trace_id = job
-            .trace_id
-            .or_else(|| self.obs.as_ref().map(|o| o.mint_trace().id));
+        // admission; direct dispatches (tests, the library API) mint one
+        // lazily so traced explains always carry a stable id.
+        let trace_id = job.trace_id.unwrap_or_else(|| self.obs.mint_trace().id);
         let run = self
             .manager
             .run_traced_configured(session, sql, save_as, cancel, |config| {
@@ -663,7 +652,7 @@ impl ExplainService {
                         panic!("injected fault: panic mid-explain");
                     }
                 }
-                config.trace_id = trace_id;
+                config.trace_id = Some(trace_id);
             });
         let (entry, trace) = match run {
             Ok(run) => run,
@@ -683,19 +672,17 @@ impl ExplainService {
             Err(e @ ExplainError::SessionFull { .. }) => return err("session_full", e.to_string()),
             Err(e) => return err("explain_failed", format!("explain failed: {e}")),
         };
-        if let Some(obs) = &self.obs {
-            for r in &trace {
-                obs.record_stage(r.stage, r.elapsed);
-                obs.recorder().push(
-                    trace_id.unwrap_or(0),
-                    "stage",
-                    "explain",
-                    session,
-                    r.stage,
-                    "",
-                    r.elapsed.as_micros() as u64,
-                );
-            }
+        for r in &trace {
+            self.obs.record_stage(r.stage, r.elapsed);
+            self.obs.recorder().push(
+                trace_id,
+                "stage",
+                "explain",
+                session,
+                r.stage,
+                "",
+                r.elapsed.as_micros() as u64,
+            );
         }
         // `top` trims the *response* — the ranked prefix is exactly what
         // `top_k_explanations` would have kept; history counts them all.
@@ -734,7 +721,7 @@ impl ExplainService {
             fields.push((
                 "trace",
                 obj([
-                    ("id", trace_id.map_or(Json::Null, |id| s(trace_id_str(id)))),
+                    ("id", s(trace_id_str(trace_id))),
                     ("total_micros", n(total_micros as f64)),
                     (
                         "queue_micros",
@@ -746,7 +733,7 @@ impl ExplainService {
         }
         let slow_ms = self.slow_explain_ms.load(Ordering::Relaxed);
         if slow_ms > 0 && total_micros >= slow_ms.saturating_mul(1000) {
-            let id = trace_id.map_or_else(|| "-".to_string(), trace_id_str);
+            let id = trace_id_str(trace_id);
             let breakdown = trace
                 .iter()
                 .map(StageReport::describe)
@@ -765,13 +752,7 @@ impl ExplainService {
     /// narrowed to one incident's or one trace's timeline, trimmed to the
     /// most recent `limit` events.
     fn debug_dump(&self, req: &Json) -> Json {
-        let Some(obs) = &self.obs else {
-            return ok(vec![
-                ("enabled", Json::Bool(false)),
-                ("events", Json::Arr(Vec::new())),
-            ]);
-        };
-        let rec = obs.recorder();
+        let rec = self.obs.recorder();
         let events = if let Some(incident) = req.get("incident").and_then(Json::as_str) {
             rec.events_for_incident(incident)
         } else if let Some(t) = req.get("trace_id").and_then(Json::as_str) {
@@ -965,11 +946,6 @@ impl ExplainService {
             );
             w.sample(
                 "fedex_sched_admitted_total",
-                &[("class", "control")],
-                sc.admitted_control as f64,
-            );
-            w.sample(
-                "fedex_sched_admitted_total",
                 &[("class", "heavy")],
                 sc.admitted_heavy as f64,
             );
@@ -1013,11 +989,6 @@ impl ExplainService {
             );
             w.sample(
                 "fedex_sched_queued",
-                &[("class", "control")],
-                sc.queued_control_now as f64,
-            );
-            w.sample(
-                "fedex_sched_queued",
                 &[("class", "heavy")],
                 sc.queued_heavy_now as f64,
             );
@@ -1029,52 +1000,51 @@ impl ExplainService {
             );
         }
 
-        if let Some(obs) = &self.obs {
-            w.header(
-                "fedex_request_duration_seconds",
-                "histogram",
-                "End-to-end handling time per wire command.",
-            );
-            for (name, snap) in obs.command_snapshots() {
-                w.histogram("fedex_request_duration_seconds", &[("cmd", name)], &snap);
-            }
-            w.header(
-                "fedex_admission_wait_seconds",
-                "histogram",
-                "Queue wait before dispatch, per class.",
-            );
-            for (name, snap) in obs.admission_wait_snapshots() {
-                w.histogram("fedex_admission_wait_seconds", &[("class", name)], &snap);
-            }
-            w.header(
-                "fedex_service_time_seconds",
-                "histogram",
-                "Execution time after dispatch, per class.",
-            );
-            for (name, snap) in obs.service_time_snapshots() {
-                w.histogram("fedex_service_time_seconds", &[("class", name)], &snap);
-            }
-            w.header(
-                "fedex_stage_duration_seconds",
-                "histogram",
-                "Pipeline stage wall time, per stage.",
-            );
-            for (name, snap) in obs.stage_snapshots() {
-                w.histogram("fedex_stage_duration_seconds", &[("stage", name)], &snap);
-            }
-            counter(
-                &mut w,
-                "fedex_flight_recorder_events_total",
-                "Flight-recorder events ever recorded.",
-                obs.recorder().recorded(),
-            );
-            gauge(
-                &mut w,
-                "fedex_flight_recorder_capacity",
-                "Flight-recorder ring capacity.",
-                obs.recorder().capacity() as u64,
-            );
+        let obs = &self.obs;
+        w.header(
+            "fedex_request_duration_seconds",
+            "histogram",
+            "End-to-end handling time per wire command.",
+        );
+        for (name, snap) in obs.command_snapshots() {
+            w.histogram("fedex_request_duration_seconds", &[("cmd", name)], &snap);
         }
+        w.header(
+            "fedex_admission_wait_seconds",
+            "histogram",
+            "Queue wait before dispatch, per class.",
+        );
+        for (name, snap) in obs.admission_wait_snapshots() {
+            w.histogram("fedex_admission_wait_seconds", &[("class", name)], &snap);
+        }
+        w.header(
+            "fedex_service_time_seconds",
+            "histogram",
+            "Execution time after dispatch, per class.",
+        );
+        for (name, snap) in obs.service_time_snapshots() {
+            w.histogram("fedex_service_time_seconds", &[("class", name)], &snap);
+        }
+        w.header(
+            "fedex_stage_duration_seconds",
+            "histogram",
+            "Pipeline stage wall time, per stage.",
+        );
+        for (name, snap) in obs.stage_snapshots() {
+            w.histogram("fedex_stage_duration_seconds", &[("stage", name)], &snap);
+        }
+        counter(
+            &mut w,
+            "fedex_flight_recorder_events_total",
+            "Flight-recorder events ever recorded.",
+            obs.recorder().recorded(),
+        );
+        gauge(
+            &mut w,
+            "fedex_flight_recorder_capacity",
+            "Flight-recorder ring capacity.",
+            obs.recorder().capacity() as u64,
+        );
         w.finish()
     }
 

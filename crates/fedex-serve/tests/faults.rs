@@ -58,19 +58,22 @@ fn code_of(r: &Json) -> Option<&str> {
     r.get("code").and_then(Json::as_str)
 }
 
-/// Poll the scheduler gauges until all queues are empty — a leaked job
-/// shows up as a gauge that never drains.
+/// Poll the scheduler gauges until the queue is empty — a leaked job
+/// shows up as a gauge that never drains — then check that every
+/// admitted job completed.
 fn assert_drains(addr: &str) {
     let mut probe = Client::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let m = probe.request(&req(r#"{"cmd":"metrics"}"#)).unwrap();
         let sched = m.get("scheduler").expect("scheduler metrics");
-        let backlog = ["queued_control", "queued_heavy", "running_heavy"]
-            .iter()
-            .map(|g| sched.get(g).and_then(Json::as_f64).unwrap_or(0.0))
-            .sum::<f64>();
-        if backlog == 0.0 {
+        let gauge = |g: &str| sched.get(g).and_then(Json::as_f64).unwrap();
+        if gauge("queued_heavy") + gauge("running_heavy") == 0.0 {
+            assert_eq!(
+                gauge("admitted_heavy"),
+                gauge("completed"),
+                "admitted jobs left uncompleted: {sched:?}"
+            );
             return;
         }
         assert!(

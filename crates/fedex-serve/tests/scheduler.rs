@@ -1,8 +1,11 @@
 //! Admission-scheduler contracts over a real loopback socket:
 //!
-//! * cheap control commands complete while a long explain is in flight
-//!   (the dedicated control worker — pre-PR 5, a single-worker server
-//!   blocked every other client for the whole explain);
+//! * control commands complete while a long explain is in flight, even
+//!   while a `history` of the explain's own session waits for that
+//!   step: each control command is answered on its own connection
+//!   thread, so none waits behind another request (pre-PR 5, a
+//!   single-worker server blocked every other client for the whole
+//!   explain);
 //! * a full heavy queue answers the typed `overloaded` error and a
 //!   session past its quota gets `quota_exceeded` — never unbounded
 //!   queueing.
@@ -66,9 +69,9 @@ fn sched_gauge(metrics: &Json, field: &str) -> f64 {
 
 #[test]
 fn control_commands_are_served_while_a_long_explain_runs() {
-    // ONE general worker: pre-scheduler, this server could do exactly one
-    // thing at a time and a second connection waited for the first to
-    // close. The dedicated control worker must keep ping/metrics flowing.
+    // ONE worker: pre-scheduler, this server could do exactly one thing
+    // at a time and a second connection waited for the first to close.
+    // Control commands need no worker, so ping/metrics must keep flowing.
     let handle = boot(1, 16, 4);
     let addr = handle.addr().to_string();
     register_big(&addr, "a");
@@ -77,13 +80,40 @@ fn control_commands_are_served_while_a_long_explain_runs() {
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
-            c.request(&explain_req("a", SQL)).unwrap()
+            let t0 = Instant::now();
+            let r = c.request(&explain_req("a", SQL)).unwrap();
+            (r, t0.elapsed())
         })
     };
 
-    // Hammer control commands on a second connection while the explain
-    // occupies the only general worker.
+    // Once the explain runs (and so holds session "a"), a third
+    // connection reads that session's history: it waits for the running
+    // step, and nothing else may wait on it.
     let mut control = Client::connect(&addr).unwrap();
+    let t0 = Instant::now();
+    while sched_gauge(
+        &control.request(&req(r#"{"cmd":"metrics"}"#)).unwrap(),
+        "running_heavy",
+    ) == 0.0
+    {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "explain never started"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let history_thread = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).unwrap();
+            c.request(&req(r#"{"cmd":"history","session":"a"}"#))
+                .unwrap()
+        })
+    };
+
+    // Hammer control commands on the second connection while the explain
+    // occupies the only worker and the history waits for its session.
     let mut saw_explain_in_flight = false;
     let mut worst = Duration::ZERO;
     for _ in 0..40 {
@@ -98,7 +128,7 @@ fn control_commands_are_served_while_a_long_explain_runs() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let explained = explain_thread.join().expect("explain thread");
+    let (explained, explain_took) = explain_thread.join().expect("explain thread");
     assert_eq!(
         explained.get("ok"),
         Some(&Json::Bool(true)),
@@ -108,12 +138,19 @@ fn control_commands_are_served_while_a_long_explain_runs() {
         saw_explain_in_flight,
         "the probe window never overlapped the explain — enlarge BIG_ROWS"
     );
-    // Generous bound: the failure mode this guards against is multi-second
-    // head-of-line blocking behind the explain; real control latency is
-    // sub-millisecond.
+    // The history waited for the explain's step, so it lists that step.
+    let history = history_thread.join().expect("history thread");
+    let entries = history.get("entries").and_then(Json::as_arr);
+    assert_eq!(entries.map(<[Json]>::len), Some(1), "{history:?}");
+    // The failure mode this guards against is head-of-line blocking
+    // behind the explain: a control command stuck behind the history
+    // waits out the rest of the explain. Real control latency is
+    // sub-millisecond, so a quarter of the explain is a generous bound.
+    let bound = (explain_took / 4).min(Duration::from_secs(1));
     assert!(
-        worst < Duration::from_secs(1),
-        "control round-trip slowed to {worst:?} during an explain"
+        worst < bound,
+        "control round-trip slowed to {worst:?} during a {explain_took:?} explain \
+         (bound {bound:?})"
     );
     handle.stop().unwrap();
 }
