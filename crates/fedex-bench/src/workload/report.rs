@@ -9,7 +9,10 @@
 //! - a successful explain of every provenance kind the trace schedules;
 //! - a Prometheus exposition that validates and conserves (per-command
 //!   histogram counts sum exactly to `fedex_requests_total`);
-//! - a control-probe ping p99 under 10 ms, over at least one sample;
+//! - a control-probe ping p99 under 10 ms, over at least one sample (the
+//!   bound is on client wall-clock; the violation also quotes the
+//!   server-side p99, so host CPU steal tells apart from a stalled
+//!   server);
 //! - queues drained to zero, and scheduler counters that conserve
 //!   (`admitted_heavy == completed`: every admitted job completed);
 //! - every `internal_error` incident resolved by `debug_dump`;
@@ -92,6 +95,14 @@ fn bucket_percentile(exp: &Exposition, cmd: &str, p: f64) -> Option<f64> {
         .map(|(le, _)| *le)
 }
 
+/// The server-side ping p99 of a run's scrape, in ms: the upper bound of
+/// its histogram bucket, `None` when the scrape is invalid or holds no
+/// ping.
+fn server_ping_p99_ms(run: &ReplayRun) -> Option<f64> {
+    let exp = validate_exposition(&run.prom_text).ok()?;
+    bucket_percentile(&exp, "ping", 0.99).map(|s| s * 1e3)
+}
+
 /// The gate over every replay of `trace` (see the module docs). Empty =
 /// pass.
 pub fn gate(trace: &Trace, runs: &[ReplayRun]) -> Vec<String> {
@@ -166,8 +177,9 @@ fn run_violations(trace: &Trace, run: &ReplayRun, violations: &mut Vec<String>) 
 
     let ping_p99 = percentile(&run.ping_us, 0.99);
     if run.ping_us.is_empty() || ping_p99 >= PING_P99_LIMIT_US {
+        let server = server_ping_p99_ms(run).map_or("n/a".to_string(), |ms| format!("≤{ms}ms"));
         violations.push(format!(
-            "control p99 {ping_p99}µs over {} samples (limit 10ms)",
+            "control p99 {ping_p99}µs over {} samples (limit 10ms; server-side p99 {server})",
             run.ping_us.len()
         ));
     }
@@ -314,6 +326,10 @@ pub fn report_json(trace: &Trace, run: &ReplayRun, violations: &[String]) -> Jso
             json::n(percentile(&run.ping_us, 0.99) as f64),
         ),
         (
+            "ping_server_p99_le_ms".to_string(),
+            server_ping_p99_ms(run).map_or(Json::Null, Json::Num),
+        ),
+        (
             "ping_samples".to_string(),
             json::n(run.ping_us.len() as f64),
         ),
@@ -372,12 +388,31 @@ mod tests {
 
     /// A conserving exposition: one explain, no other command.
     fn prom() -> String {
-        let mut text = String::from(
-            "# TYPE fedex_requests_total counter\nfedex_requests_total 1\n\
+        prom_with_pings(&[])
+    }
+
+    /// [`prom`] plus pings, given as `(le, cumulative count)` buckets
+    /// below `+Inf`; the last bucket's count is the number of pings.
+    fn prom_with_pings(buckets: &[(&str, u32)]) -> String {
+        let pings = buckets.last().map_or(0, |b| b.1);
+        let mut text = format!(
+            "# TYPE fedex_requests_total counter\nfedex_requests_total {}\n\
              # TYPE fedex_request_duration_seconds histogram\n",
+            1 + pings
         );
         for cmd in WIRE_COMMANDS {
-            let n = u32::from(*cmd == "explain");
+            let n = match *cmd {
+                "explain" => 1,
+                "ping" => {
+                    for (le, count) in buckets {
+                        text.push_str(&format!(
+                            "fedex_request_duration_seconds_bucket{{cmd=\"ping\",le=\"{le}\"}} {count}\n"
+                        ));
+                    }
+                    pings
+                }
+                _ => 0,
+            };
             text.push_str(&format!(
                 "fedex_request_duration_seconds_bucket{{cmd=\"{cmd}\",le=\"+Inf\"}} {n}\n\
                  fedex_request_duration_seconds_sum{{cmd=\"{cmd}\"}} 0\n\
@@ -526,5 +561,27 @@ fedex_request_duration_seconds_count{cmd=\"explain\"} 10
         assert_eq!(bucket_percentile(&exp, "explain", 0.90), Some(0.01));
         assert_eq!(bucket_percentile(&exp, "explain", 1.0), Some(f64::INFINITY));
         assert_eq!(bucket_percentile(&exp, "ping", 0.5), None);
+    }
+
+    #[test]
+    fn the_ping_violation_quotes_the_server_side_p99() {
+        // 99 of 100 pings served under 1 ms, one under 50 ms.
+        let scraped = ReplayRun {
+            prom_text: prom_with_pings(&[("0.001", 99), ("0.05", 100)]),
+            ..healthy()
+        };
+        assert_eq!(server_ping_p99_ms(&scraped), Some(1.0));
+        assert_eq!(server_ping_p99_ms(&healthy()), None, "no ping observed");
+        let slow = ReplayRun {
+            ping_us: vec![12_000; 5],
+            ..scraped
+        };
+        assert_eq!(
+            gate(&trace(None), std::slice::from_ref(&slow)),
+            ["control p99 12000µs over 5 samples (limit 10ms; server-side p99 ≤1ms)"]
+        );
+        let report = report_json(&trace(None), &slow, &[]);
+        assert_eq!(report.get("ping_server_p99_le_ms"), Some(&Json::Num(1.0)));
+        assert_eq!(report.get("ping_p99_us"), Some(&Json::Num(12_000.0)));
     }
 }

@@ -67,9 +67,9 @@ pub struct FedexConfig {
     /// worker per core, or a fixed thread count). Results are identical
     /// under every mode.
     pub execution: ExecutionMode,
-    /// Cross-request artifact cache consulted by the ScoreColumns stage:
+    /// Cross-request artifact cache consulted by the pipeline:
     /// content-fingerprinted inputs reuse their [`fedex_frame::CodedFrame`]
-    /// and per-step kernel caches instead of re-encoding (see
+    /// and mined partitions instead of re-deriving them (see
     /// [`ArtifactCache`]). `None` (the default) re-derives everything per
     /// call; results are bit-identical either way.
     pub artifact_cache: Option<Arc<ArtifactCache>>,

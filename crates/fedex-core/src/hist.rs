@@ -178,11 +178,6 @@ impl CodedHist {
         }
     }
 
-    /// Approximate heap size in bytes (the dense count array).
-    pub fn approx_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<i64>()
-    }
-
     /// Histogram of all non-null rows of a coded column — O(distinct), not
     /// O(rows): the per-code counts were fused into the encode pass
     /// ([`CodedColumn::counts`]), so this is a plain copy.

@@ -94,19 +94,6 @@ impl ExcKernelCache {
             .expect("kernel cache")
             .retain(|column, _| keep(column));
     }
-
-    /// Approximate heap size of every cached kernel, in bytes. Used by the
-    /// byte-budgeted cross-request artifact cache; the estimate is taken at
-    /// insertion time and intentionally ignores later growth.
-    pub fn approx_bytes(&self) -> usize {
-        self.map
-            .read()
-            .expect("kernel cache")
-            .values()
-            .flatten()
-            .map(|k| k.approx_bytes())
-            .sum()
-    }
 }
 
 /// Per-column state for incremental exceptionality: everything that does
@@ -219,42 +206,6 @@ impl ExcKernel {
                     base_out,
                     base_i,
                 }))
-            }
-        }
-    }
-
-    /// Approximate *incremental* heap size in bytes: the owned code
-    /// gathers and base histograms. The shared `coded_in` `Arc` is
-    /// deliberately **not** counted — the coded frame it belongs to is a
-    /// separate cache entry with its own accounting, and double-counting
-    /// it would make one step's frame + kernels appear larger than the
-    /// budget they comfortably co-fit in (evicting each other forever).
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            ExcKernel::Sourced {
-                out_codes,
-                base_in,
-                base_out,
-                ..
-            } => {
-                out_codes.len() * std::mem::size_of::<u32>()
-                    + base_in.approx_bytes()
-                    + base_out.approx_bytes()
-            }
-            ExcKernel::Union {
-                out_coded,
-                in_codes,
-                in_hists,
-                base_out,
-                ..
-            } => {
-                out_coded.approx_bytes()
-                    + in_codes
-                        .iter()
-                        .map(|c| c.len() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
-                    + in_hists.iter().map(|h| h.approx_bytes()).sum::<usize>()
-                    + base_out.approx_bytes()
             }
         }
     }

@@ -41,7 +41,7 @@ pub struct ScoredColumns {
     /// surfaced through [`StageReport::sub`](crate::pipeline::StageReport).
     pub timings: Vec<(&'static str, Duration)>,
     /// Cross-request cache consultations, as `(artifact, hit)` pairs —
-    /// one `frame[i]` entry per input plus a `kernels` entry when an
+    /// one `frame[i]` entry per input when an
     /// [`ArtifactCache`](crate::ArtifactCache) is configured; empty on
     /// uncached runs. Surfaced through
     /// [`StageReport::artifacts`](crate::pipeline::StageReport).

@@ -180,9 +180,8 @@ pub struct StageReport {
     pub sub: Vec<(&'static str, Duration)>,
     /// Cache artifacts the stage consulted, as `(artifact, hit)` pairs —
     /// when an [`ArtifactCache`](crate::ArtifactCache) is configured,
-    /// ScoreColumns reports one `frame[i]` entry per input plus a
-    /// `kernels` entry, and PartitionRows one `partitions[i]` entry per
-    /// input; other stages (and uncached runs) report none. A session
+    /// ScoreColumns reports one `frame[i]` entry per input and
+    /// PartitionRows one `partitions[i]` entry per input; other stages (and uncached runs) report none. A session
     /// step answered from the cache's results reports a single `Results`
     /// stage with a `results` entry (see [`crate::session`]).
     pub artifacts: Vec<(String, bool)>,

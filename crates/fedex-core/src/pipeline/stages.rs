@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fedex_frame::{CodedColumn, CodedFrame, Fingerprint, FpHasher};
+use fedex_frame::{CodedColumn, CodedFrame, Fingerprint};
 use fedex_query::{ExploratoryStep, Operation, Provenance};
 use fedex_stats::descriptive::mean_and_std;
 
@@ -32,7 +32,7 @@ use super::par::{par_map, try_par_map, ExecutionMode};
 use super::{PipelineContext, Stage};
 
 /// Content fingerprints of every input, in input order.
-pub(crate) fn input_fingerprints(step: &ExploratoryStep) -> Vec<Fingerprint> {
+fn input_fingerprints(step: &ExploratoryStep) -> Vec<Fingerprint> {
     step.inputs.iter().map(|df| df.fingerprint()).collect()
 }
 
@@ -131,25 +131,6 @@ fn encode_inputs_cached(
     (Arc::new(frames), events)
 }
 
-/// Cache key of one exploratory step: the operation (via its stable debug
-/// form) folded with the content fingerprints of every input. Two steps
-/// with equal keys run the same deterministic operation over equal bytes,
-/// so their per-column kernel caches are interchangeable.
-pub(crate) fn step_fingerprint(
-    step: &ExploratoryStep,
-    input_fps: impl Iterator<Item = Fingerprint>,
-) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_bytes(format!("{:?}", step.op).as_bytes());
-    let mut n = 0u64;
-    for fp in input_fps {
-        h.write_fingerprint(fp);
-        n += 1;
-    }
-    h.write_u64(n);
-    h.finish()
-}
-
 // ================================================== 1. ScoreColumns ====
 
 /// How the ScoreColumns stage scores a column.
@@ -210,30 +191,17 @@ impl Stage for ScoreColumns<'_> {
         // Encode the inputs once, up front: scoring consumes the codes
         // directly, and PartitionRows and Contribute share the same coded
         // view of every column. With a cross-request cache, warm inputs
-        // skip encoding and repeated steps reuse their kernel cache — the
-        // `encode` sub-timing then collapses to the fingerprint lookups.
+        // skip encoding — the `encode` sub-timing then collapses to the
+        // fingerprint lookups.
         let t_encode = Instant::now();
-        let mut step_fp = None;
-        let (coded, kernels, cache_events) = match ctx.config.artifact_cache.as_deref() {
-            None => (
-                encode_inputs_cold(step, ctx.mode(), |_| true),
-                Arc::new(ExcKernelCache::default()),
-                Vec::new(),
-            ),
-            Some(cache) => {
-                let fps = input_fingerprints(step);
-                let (coded, mut events) = encode_inputs_cached(step, ctx.mode(), cache, &fps);
-                let fp = step_fingerprint(step, fps.iter().copied());
-                step_fp = Some(fp);
-                let warm_kernels = cache.get_kernels(fp);
-                events.push(("kernels".to_string(), warm_kernels.is_some()));
-                let kernels = warm_kernels.unwrap_or_else(|| Arc::new(ExcKernelCache::default()));
-                (coded, kernels, events)
-            }
+        let (coded, cache_events) = match ctx.config.artifact_cache.as_deref() {
+            None => (encode_inputs_cold(step, ctx.mode(), |_| true), Vec::new()),
+            Some(cache) => encode_inputs_cached(step, ctx.mode(), cache, &input_fingerprints(step)),
         };
         let encode_elapsed = t_encode.elapsed();
 
         let t_score = Instant::now();
+        let kernels = Arc::new(ExcKernelCache::default());
         let mut scores: Vec<(String, f64)> = match &self.scorer {
             Scorer::Builtin => {
                 let mut out = score_all_columns_coded(
@@ -281,21 +249,9 @@ impl Stage for ScoreColumns<'_> {
             .take(ctx.config.top_k_columns.max(1))
             .cloned()
             .collect();
-        match (ctx.config.artifact_cache.as_deref(), step_fp) {
-            // Cross-request path: keep every kernel — the next warm run of
-            // this step reuses them all, not just the top-k — and insert
-            // only now that the cache is populated, so the eviction policy
-            // accounts its real size (an empty-at-insert entry would be
-            // budgeted at the 1 KiB floor while holding tens of MB of
-            // codes). The measured scoring time is the entry's rebuild
-            // cost; on warm refreshes the cache keeps the larger
-            // (from-scratch) cost it already recorded.
-            (Some(cache), Some(fp)) => cache.put_kernels(fp, kernels.clone(), t_score.elapsed()),
-            // Per-call path: kernels outside the top-k cut existed only
-            // for scoring; drop them so Contribute inherits exactly what
-            // it reuses.
-            _ => kernels.retain(|column| top.iter().any(|(t, _)| t == column)),
-        }
+        // Kernels outside the top-k cut existed only for scoring; drop
+        // them so Contribute inherits exactly what it reuses.
+        kernels.retain(|column| top.iter().any(|(t, _)| t == column));
         let score_elapsed = t_score.elapsed();
         Ok(ScoredColumns {
             scores,

@@ -337,8 +337,9 @@ impl Session {
 
 /// Explain `step` under `fedex`, answering a repeat from the configured
 /// artifact cache's results (see [`crate::cache`]). A miss runs the
-/// pipeline, and inserts its result when ScoreColumns found the step's
-/// kernels cached: the step's second sighting.
+/// pipeline, and inserts its result when ScoreColumns found every input's
+/// coded frame cached: the inputs' second sighting, the rule partition
+/// lists follow too.
 fn explain_memoized(
     fedex: &Fedex,
     step: &ExploratoryStep,
@@ -362,10 +363,12 @@ fn explain_memoized(
     let t_pipeline = Instant::now();
     let (explanations, trace) = fedex.explain_traced(step)?;
     let explanations: Arc<[Explanation]> = explanations.into();
+    // ScoreColumns reports one `frame[i]` event per input, and only those.
     let seen_before = trace
         .iter()
+        .filter(|r| r.stage == "ScoreColumns")
         .flat_map(|r| &r.artifacts)
-        .any(|(artifact, hit)| artifact == "kernels" && *hit);
+        .all(|&(_, hit)| hit);
     if seen_before {
         cache.put_results(key, explanations.clone(), t_pipeline.elapsed());
     }
@@ -802,7 +805,7 @@ mod tests {
         let mut s = Session::new(Fedex::new().with_cache(cache.clone()));
         s.register("songs", songs());
         let results = |trace: &[StageReport]| cache_events(trace, "results");
-        // Cold, then a warm run whose kernels hit: it admits its result.
+        // Cold, then a run whose input frame hits: it admits its result.
         let (cold, trace) = s.run_traced_configured(FILTER, None, |_| {}).unwrap();
         assert!(trace.len() > 1 && results(&trace).is_empty(), "{trace:?}");
         let (_, trace) = s.run_traced_configured(FILTER, None, |_| {}).unwrap();
@@ -839,6 +842,43 @@ mod tests {
             s.catalog().get("popular").unwrap().n_rows(),
             hit.summary.n_rows_out
         );
+    }
+
+    #[test]
+    fn a_new_step_over_a_warm_frame_is_admitted_on_its_first_run() {
+        let cache = Arc::new(ArtifactCache::default());
+        let mut s = Session::new(Fedex::new().with_cache(cache.clone()));
+        s.register("songs", songs());
+        s.run(FILTER).unwrap();
+        const OTHER: &str = "SELECT * FROM songs WHERE year > 2012";
+        let (_, trace) = s.run_traced_configured(OTHER, None, |_| {}).unwrap();
+        assert_eq!(cache_events(&trace, "frame[0]"), vec![true], "{trace:?}");
+        assert_eq!(cache_events(&trace, "results"), Vec::<bool>::new());
+        let key = results_key(&s.execute(OTHER).unwrap(), s.fedex.config());
+        assert!(
+            cache.get_results(key).is_some(),
+            "admitted on its first run"
+        );
+        let (_, trace) = s.run_traced_configured(OTHER, None, |_| {}).unwrap();
+        assert_eq!(cache_events(&trace, "results"), vec![true]);
+    }
+
+    #[test]
+    fn a_step_over_a_fresh_input_is_not_admitted() {
+        let cache = Arc::new(ArtifactCache::default());
+        let mut s = Session::new(Fedex::new().with_cache(cache.clone()));
+        s.register("songs", songs());
+        s.run_traced_configured(FILTER, Some("last".to_string()), |_| {})
+            .unwrap();
+        // `last` holds the filter's output: no explain has encoded it yet.
+        const ON_LAST: &str = "SELECT * FROM last WHERE year > 2012";
+        let (_, trace) = s.run_traced_configured(ON_LAST, None, |_| {}).unwrap();
+        assert_eq!(cache_events(&trace, "frame[0]"), vec![false], "{trace:?}");
+        let key = results_key(&s.execute(ON_LAST).unwrap(), s.fedex.config());
+        assert!(cache.get_results(key).is_none(), "a first sighting");
+        // Its second run finds the frame and admits the result.
+        s.run(ON_LAST).unwrap();
+        assert!(cache.get_results(key).is_some());
     }
 
     /// The hit flags of `artifact` cache events across `trace`.

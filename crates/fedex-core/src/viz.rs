@@ -258,7 +258,7 @@ pub fn write_stage_trace_json(out: &mut String, trace: &[StageReport]) {
         out.push(']');
         if !r.artifacts.is_empty() {
             // Cache consultations of the stage: which artifacts (input
-            // frames, kernel caches, mined partitions, a whole result)
+            // frames, mined partitions, a whole result)
             // were warm.
             out.push_str(",\"cache\":[");
             for (j, (artifact, hit)) in r.artifacts.iter().enumerate() {

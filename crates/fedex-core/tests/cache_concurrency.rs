@@ -6,6 +6,8 @@
 //!   uncached serial run;
 //! * LRU eviction keeps the estimated resident bytes within the budget
 //!   even while explains race registrations;
+//! * distinct steps over one table do not grow the cache: it holds the
+//!   table's frame and partitions, and nothing per step;
 //! * property test: a warm (cache-hit) explain equals a cold explain
 //!   bit-for-bit across operations, dtypes, and nasty float values —
 //!   including partition hits mined by another op, and relabelled to
@@ -13,6 +15,7 @@
 
 use std::sync::Arc;
 
+use fedex_core::cache::ARTIFACTS;
 use fedex_core::{
     ArtifactCache, ExecutionMode, Explanation, Fedex, FedexConfig, SessionManager, StageReport,
 };
@@ -22,6 +25,14 @@ use proptest::prelude::*;
 
 fn spotify(rows: usize, seed: u64) -> DataFrame {
     fedex_data::spotify::generate(rows, seed)
+}
+
+/// Index of `artifact` in [`CacheMetrics::by_artifact`](fedex_core::CacheMetrics).
+fn artifact(name: &str) -> usize {
+    ARTIFACTS
+        .iter()
+        .position(|&a| a == name)
+        .unwrap_or_else(|| panic!("no artifact kind {name:?}"))
 }
 
 /// Stable byte serialization of an explanation (same idea as the golden
@@ -102,12 +113,35 @@ fn concurrent_sessions_match_uncached_serial_run() {
     // hits; and every thread's third run of a SQL found its result.
     let m = mgr.cache().metrics();
     assert!(m.hits > 0, "{m:?}");
-    assert_eq!(m.by_artifact[0].misses, 1, "{m:?}");
+    assert_eq!(m.by_artifact[artifact("frame")].misses, 1, "{m:?}");
     assert!(
-        m.by_artifact[3].hits >= (THREADS * SQLS.len()) as u64,
+        m.by_artifact[artifact("results")].hits >= (THREADS * SQLS.len()) as u64,
         "{m:?}"
     );
     assert!(m.bytes <= m.budget, "{m:?}");
+}
+
+#[test]
+fn distinct_steps_do_not_grow_the_cache() {
+    let table = spotify(3_000, 5);
+    let cache = Arc::new(ArtifactCache::default());
+    let fedex = Fedex::new()
+        .with_execution(ExecutionMode::Serial)
+        .with_cache(cache.clone());
+    let mut sizes = Vec::new();
+    for bound in [45, 55, 60, 65, 70] {
+        let filter = Operation::filter(Expr::col("popularity").gt(Expr::lit(bound)));
+        let step = ExploratoryStep::run(vec![table.clone()], filter).unwrap();
+        assert!(!fedex.explain(&step).unwrap().is_empty(), "bound {bound}");
+        let m = cache.metrics();
+        sizes.push((m.entries, m.bytes));
+    }
+    // The first explain encodes the frame; the second, seeing the frame
+    // again, admits the partitions. No later step adds anything.
+    let m = cache.metrics();
+    assert_eq!(sizes[1].0, 2, "frame + partitions: {m:?}");
+    assert!(sizes[1..].iter().all(|&s| s == sizes[1]), "{sizes:?}");
+    assert_eq!(m.evictions, 0, "{m:?}");
 }
 
 #[test]

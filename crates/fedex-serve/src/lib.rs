@@ -12,10 +12,10 @@
 //!   concurrently;
 //! * **cross-request artifact cache** — registered tables are
 //!   content-fingerprinted *at register time*; their dictionary-coded
-//!   frames and per-step kernel caches are shared across requests and
-//!   sessions ([`fedex_core::ArtifactCache`], cost-aware eviction), so
-//!   warm explains skip both the encode work and the fingerprint re-scan
-//!   that dominate a cold ScoreColumns stage;
+//!   frames, mined partitions and repeated steps' results are shared
+//!   across requests and sessions ([`fedex_core::ArtifactCache`],
+//!   cost-aware eviction), so warm explains skip both the encode work and
+//!   the fingerprint re-scan that dominate a cold ScoreColumns stage;
 //! * **admission scheduling** — heavy work (`explain`, `register`,
 //!   `register_demo`) is admitted into one bounded queue with
 //!   per-session quotas and explicit `overloaded` / `quota_exceeded`

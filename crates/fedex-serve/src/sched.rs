@@ -23,8 +23,8 @@
 //! 3. every admitted request is **its own job** with exactly one waiter:
 //!    it runs under its own deadline token, charges its own quota slot
 //!    and records its own history entry. Identical requests share work
-//!    only through the artifact cache (frames, kernels, partitions,
-//!    results), never by sharing another request's run.
+//!    only through the artifact cache (frames, partitions, results),
+//!    never by sharing another request's run.
 //!
 //! Both routes contain a panic the same way: the request is answered
 //! with a typed `internal_error` carrying an incident id, and neither a
